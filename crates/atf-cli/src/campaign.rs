@@ -24,9 +24,9 @@ use atf_core::campaign::{
     self, outcome, CampaignPlan, CampaignReport, CampaignSpec, ConfigValue, NodeContext, NodeError,
     NodeExecutor, NodeRun, NodeSpec, RunConfig,
 };
-use atf_core::journal;
 use atf_core::trace::{FileSink, NullSink, TraceSink};
 use atf_core::tuner::TuningError;
+use atf_core::wal;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -85,7 +85,7 @@ pub fn load_campaign(
             .build_technique()
             .map_err(|e| CliError::Spec(format!("node `{}`: {e}", node.name)))?;
     }
-    Ok((plan, journal::content_hash(&text)))
+    Ok((plan, wal::content_hash(&text)))
 }
 
 /// The default state directory for a campaign file: a `.state` sibling.
@@ -150,7 +150,7 @@ impl NodeExecutor for LocalExecutor {
             // A fresh attempt (first try, or a retry after a failure) must
             // not resume the previous attempt's journal.
             let _ = std::fs::remove_file(&run_journal);
-            let _ = std::fs::remove_file(journal::checkpoint_path(&run_journal));
+            let _ = std::fs::remove_file(wal::checkpoint_path(&run_journal));
         }
         let mut opts = self.opts.clone();
         opts.journal = Some(run_journal.clone());
@@ -285,14 +285,13 @@ pub fn run_campaign_file(path: &Path, opts: &CampaignOptions) -> Result<Campaign
     })?;
     trace.flush();
 
-    // The report is the campaign's durable artifact: write-then-rename so
+    // The report is the campaign's durable artifact: replaced atomically so
     // a crash never leaves a torn report next to a complete journal.
-    let tmp = state_dir.join("report.json.tmp");
-    let final_path = state_dir.join("report.json");
     let body = format!("{}\n", report.to_json());
-    std::fs::write(&tmp, body)
-        .and_then(|()| std::fs::rename(&tmp, &final_path))
-        .map_err(|e| CliError::Campaign(format!("cannot write report: {e}")))?;
+    wal::replace_atomically(&state_dir.join("report.json"), |out| {
+        out.write_all(body.as_bytes())
+    })
+    .map_err(|e| CliError::Campaign(format!("cannot write report: {e}")))?;
     Ok(report)
 }
 

@@ -251,8 +251,9 @@ impl RunOptions {
 const RETRY_JITTER_SEED: u64 = 0x5eed;
 
 /// Journal checkpoint interval for CLI-journaled runs: after this many
-/// appends the journal compacts into an atomically-renamed checkpoint, so
-/// resuming a long run replays a bounded tail instead of the whole history.
+/// appends the journal compacts into an atomically-replaced checkpoint and
+/// the live tail restarts as just a header. This bounds the tail file, not
+/// replay: a resume still replays checkpoint + tail, i.e. every entry.
 const CLI_CHECKPOINT_EVERY: usize = 64;
 
 /// Default base backoff before a remote client's first reconnect (the
@@ -299,6 +300,12 @@ pub fn run(spec: &TuningSpec) -> Result<CliOutcome, CliError> {
 /// before it is applied — so a killed run resumes exactly where it died.
 pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliError> {
     let params = spec.build_params()?;
+    let db_err = |e: std::io::Error| CliError::Database(e.to_string());
+    // A database this build cannot read is refused now, not after hours of
+    // tuning whose result could then not be stored.
+    if let Some(db_path) = &spec.database {
+        DatabaseLog::open(db_path).map_err(db_err)?;
+    }
     // The trace sink exists before space generation so the per-group
     // `space_gen` events land in the stream too.
     let trace: Arc<dyn TraceSink> = match &opts.trace {
@@ -444,13 +451,9 @@ pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliE
 
     let mut database = None;
     if let Some(db_path) = &spec.database {
-        let mut db = if db_path.exists() {
-            TuningDatabase::load(db_path).map_err(|e| CliError::Database(e.to_string()))?
-        } else {
-            TuningDatabase::new()
-        };
+        let (mut db, mut log) = DatabaseLog::open(db_path).map_err(db_err)?;
         let (kernel, device, workload) = database_key(spec);
-        db.store(
+        if db.store(
             &kernel,
             &device,
             &workload,
@@ -458,9 +461,12 @@ pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliE
             result.best_cost.first().copied().unwrap_or(f64::INFINITY),
             result.evaluations,
             result.space_size,
-        );
-        db.save(db_path)
-            .map_err(|e| CliError::Database(e.to_string()))?;
+        ) {
+            let record = db
+                .record(&kernel, &device, &workload)
+                .expect("the record was just stored");
+            log.append(&record).map_err(db_err)?;
+        }
         database = Some(db_path.clone());
     }
     Ok(CliOutcome {

@@ -147,6 +147,20 @@ fn serve_and_client_end_to_end() {
     .unwrap();
     let db_path = dir.join("db.json");
 
+    // A local `run` stores into the same database file first: one format,
+    // so the service below must serve that record too.
+    let run_spec_path = dir.join("run-spec.json");
+    let run_spec = std::fs::read_to_string(&spec_path).unwrap().replace(
+        r#""kernel_name": "bin-e2e""#,
+        &format!(
+            r#""kernel_name": "bin-run", "database": "{}""#,
+            db_path.display()
+        ),
+    );
+    std::fs::write(&run_spec_path, run_spec).unwrap();
+    let local = run_with(&["run", run_spec_path.to_str().unwrap()]);
+    assert_eq!(exit_code(&local), 0);
+
     // Start the service on an ephemeral port; its first stderr line
     // announces the bound address.
     let mut server = atf_tune()
@@ -189,6 +203,10 @@ fn serve_and_client_end_to_end() {
         hit_report.contains("served from:  database"),
         "report: {hit_report}"
     );
+
+    let run_hit = run_with(&["client", "--addr", &addr, "--lookup", "bin-run"]);
+    assert_eq!(exit_code(&run_hit), 0, "the record `run` stored is served");
+    assert!(String::from_utf8_lossy(&run_hit.stdout).contains("BLOCK=12"));
 
     let miss = run_with(&["client", "--addr", &addr, "--lookup", "never-tuned"]);
     assert_eq!(exit_code(&miss), 1);

@@ -21,7 +21,7 @@
 //!   by more than the in-flight window, and nodes cut or denied by the
 //!   budget are recorded as `budget_exhausted`, not as errors.
 //! * **Campaign journal**: a write-ahead log (`started` / `attempt_failed`
-//!   / `finished` entries in the run journal's checksummed-line format) so
+//!   / `finished` entries in a [`crate::wal`] log, fsynced per entry) so
 //!   kill -9 at any point resumes with finished nodes restored verbatim,
 //!   in-flight nodes re-run through their per-run journals, and the final
 //!   [`CampaignReport`] bit-identical to an uninterrupted execution.
@@ -32,12 +32,10 @@
 //! tests supply synthetic executors with real sessions and kill hooks.
 
 use crate::abort::{Abort, AbortCondition};
-use crate::journal::{checksummed_json_line, parse_checksummed_json_line};
 use crate::status::TuningStatus;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
+use crate::wal;
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -554,7 +552,7 @@ pub struct CampaignJournalHeader {
     pub version: u32,
     /// Campaign name.
     pub campaign: String,
-    /// Content hash of the campaign file ([`crate::journal::content_hash`]).
+    /// Content hash of the campaign file ([`crate::wal::content_hash`]).
     pub spec_hash: String,
     /// Node count (cheap structural check on top of the hash).
     pub nodes: usize,
@@ -601,12 +599,17 @@ pub struct ConfigValue {
     pub value: String,
 }
 
-/// Append-only campaign journal writer. Every entry is fsynced before the
-/// append returns: campaign events are rare (two or three per node), so
-/// durability costs nothing next to the runs they frame.
+/// Append-only campaign journal writer: a [`wal::Writer`] that fsyncs
+/// every entry before the append returns — campaign events are rare (two
+/// or three per node), so durability costs nothing next to the runs they
+/// frame.
 pub struct CampaignJournal {
-    file: File,
+    log: wal::Writer,
     kill_after: Option<u64>,
+}
+
+fn journal_err(e: std::io::Error) -> CampaignError {
+    CampaignError::Journal(e.to_string())
 }
 
 impl CampaignJournal {
@@ -618,18 +621,11 @@ impl CampaignJournal {
     ) -> Result<Self, CampaignError> {
         let path = path.as_ref();
         if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).map_err(|e| CampaignError::Journal(e.to_string()))?;
+            std::fs::create_dir_all(parent).map_err(journal_err)?;
         }
-        let mut file = File::create(path).map_err(|e| CampaignError::Journal(e.to_string()))?;
-        let line =
-            serde_json::to_string(header).map_err(|e| CampaignError::Journal(e.to_string()))?;
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.sync_data())
-            .map_err(|e| CampaignError::Journal(e.to_string()))?;
-        crate::journal::sync_parent_dir(path);
+        let log = wal::Writer::create(path, header, 1).map_err(journal_err)?;
         Ok(CampaignJournal {
-            file,
+            log,
             kill_after: None,
         })
     }
@@ -638,27 +634,9 @@ impl CampaignJournal {
     /// intact prefix (gluing onto a torn line would lose both lines on the
     /// next resume).
     pub fn append_from(path: impl AsRef<Path>, intact_len: u64) -> Result<Self, CampaignError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path.as_ref())
-            .map_err(|e| CampaignError::Journal(e.to_string()))?;
-        (|| {
-            file.set_len(intact_len)?;
-            file.seek(SeekFrom::End(0))?;
-            if intact_len > 0 {
-                file.seek(SeekFrom::Start(intact_len - 1))?;
-                let mut last = [0u8; 1];
-                file.read_exact(&mut last)?;
-                if last[0] != b'\n' {
-                    file.write_all(b"\n")?;
-                }
-            }
-            file.sync_data()
-        })()
-        .map_err(|e| CampaignError::Journal(e.to_string()))?;
+        let log = wal::Writer::open_at(path.as_ref(), intact_len, 1).map_err(journal_err)?;
         Ok(CampaignJournal {
-            file,
+            log,
             kill_after: None,
         })
     }
@@ -680,73 +658,21 @@ impl CampaignJournal {
             }
             self.kill_after = Some(left - 1);
         }
-        let line =
-            checksummed_json_line(entry).map_err(|e| CampaignError::Journal(e.to_string()))?;
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.write_all(b"\n"))
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| CampaignError::Journal(e.to_string()))
+        self.log.append(entry).map_err(journal_err)
     }
 }
 
 /// A loaded campaign journal: header, intact entries, and the byte length
 /// of the intact prefix (for torn-tail truncation on resume).
-#[derive(Clone, Debug)]
-pub struct LoadedCampaignJournal {
-    /// The campaign-identifying header.
-    pub header: CampaignJournalHeader,
-    /// All intact entries, in write order.
-    pub entries: Vec<CampaignJournalEntry>,
-    /// Byte length of the intact prefix.
-    pub intact_len: u64,
-}
+pub type LoadedCampaignJournal = wal::Log<CampaignJournalHeader, CampaignJournalEntry>;
 
-/// Loads a campaign journal, tolerating a torn or corrupt tail exactly
-/// like the run journal loader: entries from the first undecodable line
-/// onward are dropped.
+/// Loads a campaign journal, dropping entries from the first torn or
+/// corrupt line onward. `None` when no journal was ever durably created at
+/// `path` (missing file, or a kill before the header landed).
 pub fn load_campaign_journal(
     path: impl AsRef<Path>,
-) -> Result<LoadedCampaignJournal, CampaignError> {
-    let file = File::open(path.as_ref()).map_err(|e| CampaignError::Journal(e.to_string()))?;
-    let mut reader = BufReader::new(file);
-    let mut buf = String::new();
-    let n = reader
-        .read_line(&mut buf)
-        .map_err(|e| CampaignError::Journal(e.to_string()))?;
-    if n == 0 {
-        return Err(CampaignError::Journal("campaign journal is empty".into()));
-    }
-    let header: CampaignJournalHeader = serde_json::from_str(buf.trim_end())
-        .map_err(|e| CampaignError::Journal(format!("bad header: {e}")))?;
-    let mut intact = n as u64;
-    let mut entries = Vec::new();
-    loop {
-        buf.clear();
-        let n = reader
-            .read_line(&mut buf)
-            .map_err(|e| CampaignError::Journal(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        let line = buf.trim();
-        if line.is_empty() {
-            intact += n as u64;
-            continue;
-        }
-        match parse_checksummed_json_line::<CampaignJournalEntry>(line) {
-            Some(entry) => {
-                entries.push(entry);
-                intact += n as u64;
-            }
-            None => break,
-        }
-    }
-    Ok(LoadedCampaignJournal {
-        header,
-        entries,
-        intact_len: intact,
-    })
+) -> Result<Option<LoadedCampaignJournal>, CampaignError> {
+    wal::load(path.as_ref(), CAMPAIGN_JOURNAL_VERSION).map_err(journal_err)
 }
 
 // ---------------------------------------------------------------------------
@@ -963,11 +889,9 @@ fn finished_entry(node: &str, d: &NodeDone) -> CampaignJournalEntry {
 /// name and attempt number, capped at 30 s.
 pub fn retry_backoff(node: &str, attempt: u32, backoff_ms: u64) -> Duration {
     let base = backoff_ms.saturating_mul(1u64 << attempt.saturating_sub(1).min(8));
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in node.as_bytes() {
-        h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h = (h ^ u64::from(attempt)).wrapping_mul(0x0000_0100_0000_01b3);
+    // Attempts past 255 share one jitter; the backoff is capped long before.
+    let attempt = u8::try_from(attempt).unwrap_or(u8::MAX);
+    let h = wal::fnv1a64(Some(wal::fnv1a64(None, node.as_bytes())), &[attempt]);
     let jittered = base / 4 * 3 + (h % (base / 2 + 1));
     Duration::from_millis(jittered.min(30_000))
 }
@@ -1005,8 +929,12 @@ pub fn run_campaign<E: NodeExecutor>(
             spec_hash: cfg.spec_hash.clone(),
             nodes: n,
         };
-        if cfg.resume && path.exists() {
-            let loaded = load_campaign_journal(path)?;
+        let loaded = if cfg.resume {
+            load_campaign_journal(path)?
+        } else {
+            None
+        };
+        if let Some(loaded) = loaded {
             if loaded.header.campaign != header.campaign
                 || loaded.header.spec_hash != header.spec_hash
                 || loaded.header.nodes != header.nodes

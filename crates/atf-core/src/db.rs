@@ -3,34 +3,24 @@
 //! configurations, which the paper's evaluation reads; Section VI-A).
 //!
 //! Keyed by `(kernel, device, workload)`: a [`TuningDatabase`] stores the
-//! best-known configuration with its cost and provenance, merges new
+//! best-known configuration with its cost and provenance and merges new
 //! results monotonically (a stored record is only replaced by a cheaper
-//! one), and round-trips through JSON.
+//! one).
 //!
-//! Two on-disk formats coexist:
-//!
-//! - **Legacy**: one pretty-printed JSON object for the whole database
-//!   (what [`TuningDatabase::save`] writes). Every store rewrote
-//!   O(records) bytes.
-//! - **Log-structured** (the service's format, via [`DatabaseLog`]): the
-//!   database file is an append-only NDJSON record log — each store
-//!   appends one [`TuningRecord`] line — with a sibling `<path>.ckpt`
-//!   checkpoint holding the compacted state. Compaction reuses the run
-//!   journal's tmp+fsync+rename machinery, so a kill at any byte of the
-//!   sequence leaves a loadable pair; the monotone merge makes replaying
-//!   checkpoint + log idempotent in any crash window. Legacy files still
-//!   load and are migrated to the log format by the first compaction.
-//!
-//! [`TuningDatabase::load`] understands both formats (and merges a
-//! checkpoint sibling when one exists), so standalone CLI runs and the
-//! service can share a database file across format generations.
+//! On disk the database is one format, written by `atf-tune run` and the
+//! service alike through [`DatabaseLog`]: a [`crate::wal`] log — a header
+//! line, then one checksummed [`TuningRecord`] line per accepted store,
+//! fsynced per record — with a sibling `<path>.ckpt` checkpoint (the same
+//! format) holding the compacted state. The checkpoint is replaced
+//! atomically, so a kill at any byte of a compaction leaves a loadable
+//! pair, and the monotone merge makes replaying checkpoint + log
+//! idempotent in any crash window.
 
 use crate::config::Config;
-use crate::journal::{checkpoint_path, checkpoint_tmp_path, sync_parent_dir};
 use crate::value::Value;
+use crate::wal::{self, checkpoint_path};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -107,8 +97,8 @@ impl TuningRecord {
     }
 }
 
-/// An in-memory collection of tuning records with JSON persistence.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// An in-memory collection of tuning records; [`DatabaseLog`] persists it.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TuningDatabase {
     records: BTreeMap<String, TuningRecord>,
 }
@@ -123,35 +113,12 @@ impl TuningDatabase {
         Self::default()
     }
 
-    /// Loads a database file of either format: the legacy whole-file JSON
-    /// object, or an NDJSON record log (one [`TuningRecord`] per line,
-    /// torn final line tolerated). When a `<path>.ckpt` checkpoint sibling
-    /// exists its records are merged first, so a log-structured database
-    /// loads completely no matter where a crash interrupted a compaction.
+    /// Loads the database at `path` (checkpoint + record log) without
+    /// opening it for writing. Unlike [`DatabaseLog::open`], a missing
+    /// file is an error.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)?;
-        let mut db = TuningDatabase::new();
-        let ckpt = checkpoint_path(path);
-        if let Ok(ckpt_text) = std::fs::read_to_string(&ckpt) {
-            db.merge_ndjson(&ckpt_text);
-        }
-        if is_legacy_format(&text) {
-            let legacy: TuningDatabase =
-                serde_json::from_str(&text).map_err(std::io::Error::other)?;
-            for record in legacy.records.into_values() {
-                db.merge_record(record);
-            }
-        } else {
-            db.merge_ndjson(&text);
-        }
-        Ok(db)
-    }
-
-    /// Saves the database to a JSON file (pretty-printed for diff-ability).
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let text = serde_json::to_string_pretty(self).map_err(std::io::Error::other)?;
-        std::fs::write(path, text)
+        std::fs::metadata(path.as_ref())?;
+        Ok(DatabaseLog::open(path)?.0)
     }
 
     /// Stores a result; an existing record for the same key is replaced
@@ -249,41 +216,6 @@ impl TuningDatabase {
         true
     }
 
-    /// Renders every record as one NDJSON line — the record-log and
-    /// checkpoint encoding of the log-structured format.
-    pub fn to_ndjson(&self) -> String {
-        let mut out = String::new();
-        for record in self.records.values() {
-            if let Ok(line) = serde_json::to_string(record) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Merges NDJSON record lines (cheaper records win), stopping at the
-    /// first unparseable line — a torn tail from a crashed append loses at
-    /// most that final partial record. Returns how many records merged.
-    pub fn merge_ndjson(&mut self, text: &str) -> usize {
-        let mut merged = 0;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<TuningRecord>(line) {
-                Ok(record) => {
-                    if self.merge_record(record) {
-                        merged += 1;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        merged
-    }
-
     /// The record most recently stored for a key, cloned (used by the
     /// service to append exactly what the index holds).
     pub fn record(&self, kernel: &str, device: &str, workload: &str) -> Option<TuningRecord> {
@@ -291,38 +223,60 @@ impl TuningDatabase {
     }
 }
 
-/// Whether `text` is a legacy whole-file JSON database. The legacy format
-/// is always pretty-printed, so its first line is a lone `{` with more
-/// lines after it; an NDJSON record log puts a complete JSON object on
-/// every line. A file holding *only* `{` is not legacy — it is the 1-byte
-/// torn tail of a killed first append, which the NDJSON loader drops.
-fn is_legacy_format(text: &str) -> bool {
-    match text.lines().find(|l| !l.trim().is_empty()) {
-        Some(first) => first.trim() == "{" && text.trim() != "{",
-        None => false,
+/// Version of the database log format (1 was the unframed record log).
+const DB_LOG_VERSION: u32 = 2;
+const DB_LOG_FORMAT: &str = "atf-tuning-db";
+
+/// Header line of the database log and of its checkpoint.
+#[derive(Serialize, Deserialize)]
+struct DbHeader {
+    version: u32,
+    format: String,
+}
+
+impl DbHeader {
+    fn current() -> Self {
+        DbHeader {
+            version: DB_LOG_VERSION,
+            format: DB_LOG_FORMAT.into(),
+        }
     }
 }
 
-/// Append handle and compaction driver of a log-structured database file:
-/// the write side of the format described in the module docs. The
-/// in-memory [`TuningDatabase`] stays the index; every accepted store is
-/// [`append`](DatabaseLog::append)ed as one NDJSON line, and
-/// [`compact`](DatabaseLog::compact) folds log + previous checkpoint into
-/// a fresh atomically-renamed `<path>.ckpt` before truncating the log.
+/// Loads one database file (the log or its checkpoint); `None` when no
+/// log was ever durably created at `path`.
+fn load_records(path: &Path) -> std::io::Result<Option<wal::Log<DbHeader, TuningRecord>>> {
+    let log = wal::load::<DbHeader, TuningRecord>(path, DB_LOG_VERSION)?;
+    match &log {
+        Some(log) if log.header.format != DB_LOG_FORMAT => Err(wal::unsupported(
+            path,
+            format!("a `{}` log, not a tuning database", log.header.format),
+        )),
+        _ => Ok(log),
+    }
+}
+
+/// Append handle and compaction driver of the database file: the write
+/// side of the format described in the module docs. The in-memory
+/// [`TuningDatabase`] stays the index; every accepted store is
+/// [`append`](DatabaseLog::append)ed as one record line, and
+/// [`compact`](DatabaseLog::compact) folds the full state into a fresh
+/// atomically-replaced `<path>.ckpt` before restarting the log.
 #[derive(Debug)]
 pub struct DatabaseLog {
     path: PathBuf,
-    out: Option<std::fs::File>,
+    /// Opened by the first append, so that merely opening (or
+    /// [`TuningDatabase::load`]ing) a database writes nothing.
+    out: Option<wal::Writer>,
+    /// Intact prefix of the log file as found by `open`; `None` when
+    /// there is no log yet and the first append creates it.
+    intact_len: Option<u64>,
     /// Log records (loaded + appended) not yet folded into the
     /// checkpoint; drives the compaction threshold.
     appends_since_compact: usize,
     compact_every: usize,
     total_appends: u64,
     total_compactions: u64,
-    /// The live file still holds the legacy whole-file format: the first
-    /// compaction migrates it (no appends may land before that — they
-    /// would corrupt the legacy JSON).
-    legacy_pending: bool,
     /// Test/chaos hook: sleep this long inside every append and
     /// compaction, simulating slow storage.
     io_delay: Option<Duration>,
@@ -342,42 +296,30 @@ pub struct CompactionReport {
 }
 
 impl DatabaseLog {
-    /// Opens (or prepares to create) the log-structured database at
-    /// `path`: merges the checkpoint sibling and the record log — or a
-    /// legacy whole-file database, which is then migrated by the first
-    /// compaction — and returns the loaded index plus the log handle.
-    /// A missing file is an empty database, created on first append.
+    /// Opens (or prepares to create) the database at `path`: merges the
+    /// checkpoint sibling and the record log and returns the loaded index
+    /// plus the log handle. A missing file is an empty database, created
+    /// on first append; a file in any other format is refused.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<(TuningDatabase, DatabaseLog)> {
         let path = path.as_ref().to_path_buf();
         let mut db = TuningDatabase::new();
-        if let Ok(ckpt_text) = std::fs::read_to_string(checkpoint_path(&path)) {
-            db.merge_ndjson(&ckpt_text);
-        }
-        let mut pending = 0usize;
-        let mut legacy_pending = false;
-        match std::fs::read_to_string(&path) {
-            Ok(text) if is_legacy_format(&text) => {
-                let legacy: TuningDatabase =
-                    serde_json::from_str(&text).map_err(std::io::Error::other)?;
-                for record in legacy.records.into_values() {
-                    db.merge_record(record);
-                }
-                legacy_pending = true;
-            }
-            Ok(text) => pending = db.merge_ndjson(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+        let ckpt = load_records(&checkpoint_path(&path))?;
+        let log = load_records(&path)?;
+        let intact_len = log.as_ref().map(|log| log.intact_len);
+        let pending = log.as_ref().map_or(0, |log| log.entries.len());
+        for record in [ckpt, log].into_iter().flatten().flat_map(|l| l.entries) {
+            db.merge_record(record);
         }
         Ok((
             db,
             DatabaseLog {
                 path,
                 out: None,
+                intact_len,
                 appends_since_compact: pending,
                 compact_every: DB_COMPACT_EVERY,
                 total_appends: 0,
                 total_compactions: 0,
-                legacy_pending,
                 io_delay: None,
             },
         ))
@@ -396,49 +338,36 @@ impl DatabaseLog {
         self.io_delay = Some(delay);
     }
 
-    /// Appends one record line to the log and fsyncs it. A legacy file
-    /// must be compacted (migrated) before any append; callers should
-    /// check [`should_compact`](Self::should_compact) first — appending
-    /// onto a legacy file is refused rather than corrupting it.
+    /// Appends one record line to the log and fsyncs it. The first append
+    /// truncates a torn tail left by a killed writer (or creates the log).
     pub fn append(&mut self, record: &TuningRecord) -> std::io::Result<()> {
-        if self.legacy_pending {
-            return Err(std::io::Error::other(
-                "database file is legacy-format; compact (migrate) before appending",
-            ));
-        }
         if let Some(delay) = self.io_delay {
             std::thread::sleep(delay);
         }
-        if self.out.is_none() {
-            self.out = Some(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)?,
-            );
-        }
-        let out = self.out.as_mut().expect("append handle just opened");
-        let line = serde_json::to_string(record).map_err(std::io::Error::other)?;
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
-        out.sync_data()?;
+        let out = match &mut self.out {
+            Some(out) => out,
+            None => self.out.insert(match self.intact_len {
+                Some(len) => wal::Writer::open_at(&self.path, len, 1)?,
+                None => wal::Writer::create(&self.path, &DbHeader::current(), 1)?,
+            }),
+        };
+        out.append(record)?;
         self.appends_since_compact += 1;
         self.total_appends += 1;
         Ok(())
     }
 
-    /// Whether enough log entries accumulated (or a legacy migration is
-    /// pending) that the next [`compact`](Self::compact) should run.
+    /// Whether enough log entries accumulated that the next
+    /// [`compact`](Self::compact) should run.
     pub fn should_compact(&self) -> bool {
-        self.legacy_pending || self.appends_since_compact >= self.compact_every
+        self.appends_since_compact >= self.compact_every
     }
 
-    /// Folds the full database state into a fresh checkpoint and empties
-    /// the log — the journal-v4 sequence: write `<path>.ckpt.tmp`, fsync,
-    /// rename over `<path>.ckpt`, fsync the directory, then truncate the
-    /// live log. A kill at any byte of this sequence leaves the previous
-    /// checkpoint + full log (or the new checkpoint + stale log) on disk,
-    /// both of which load to the same state by the monotone merge.
+    /// Folds the full database state into a fresh checkpoint and restarts
+    /// the log as just its header. A kill at any byte of this sequence
+    /// leaves the previous checkpoint + full log (or the new checkpoint +
+    /// a stale, partial or headerless log) on disk, all of which load to
+    /// the same state by the monotone merge.
     ///
     /// `db` is the caller's current index snapshot; it must contain every
     /// record ever appended (it may contain more — extra records are
@@ -448,25 +377,20 @@ impl DatabaseLog {
         if let Some(delay) = self.io_delay {
             std::thread::sleep(delay);
         }
-        // Close the append handle: the log is about to be truncated.
-        if let Some(out) = self.out.take() {
-            out.sync_data()?;
+        if let Some(out) = &mut self.out {
+            out.sync()?;
         }
-        let ckpt = checkpoint_path(&self.path);
-        let tmp = checkpoint_tmp_path(&self.path);
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(db.to_ndjson().as_bytes())?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, &ckpt)?;
-        sync_parent_dir(&ckpt);
-        // The checkpoint is durable: the log's records are redundant now,
-        // so an empty log replaces it (and a legacy file is migrated).
-        let empty = std::fs::File::create(&self.path)?;
-        empty.sync_data()?;
+        let header = DbHeader::current();
+        wal::replace_atomically(&checkpoint_path(&self.path), |out| {
+            wal::write_log(out, &header, db.records())
+        })?;
+        // The checkpoint is durable: the log's records are redundant now.
+        // Forget the old log first, so that a failed restart is retried
+        // by the next append instead of reopening at a stale length.
+        self.out = None;
+        self.intact_len = None;
+        self.out = Some(wal::Writer::create(&self.path, &header, 1)?);
         self.appends_since_compact = 0;
-        self.legacy_pending = false;
         self.total_compactions += 1;
         Ok(CompactionReport {
             records: db.len() as u64,
@@ -535,20 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let mut db = TuningDatabase::new();
-        db.store("saxpy", "Xeon", "n1024", &sample_config(), 3.25, 231, 231);
-        let path = std::env::temp_dir().join(format!("atf-db-{}.json", std::process::id()));
-        db.save(&path).unwrap();
-        let loaded = TuningDatabase::load(&path).unwrap();
-        assert_eq!(loaded.len(), 1);
-        let r = loaded.lookup("saxpy", "Xeon", "n1024").unwrap();
-        assert_eq!(r.cost, 3.25);
-        assert_eq!(r.config(), sample_config());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn merge_prefers_cheaper() {
         let mut a = TuningDatabase::new();
         a.store("k", "d", "", &sample_config(), 5.0, 1, 1);
@@ -580,30 +490,7 @@ mod tests {
     fn cleanup(path: &Path) {
         std::fs::remove_file(path).ok();
         std::fs::remove_file(checkpoint_path(path)).ok();
-        std::fs::remove_file(checkpoint_tmp_path(path)).ok();
-    }
-
-    #[test]
-    fn ndjson_round_trip() {
-        let mut db = TuningDatabase::new();
-        db.store("k1", "d", "w", &sample_config(), 5.0, 10, 100);
-        db.store("k2", "d", "w", &sample_config(), 6.0, 20, 100);
-        let mut loaded = TuningDatabase::new();
-        assert_eq!(loaded.merge_ndjson(&db.to_ndjson()), 2);
-        assert_eq!(loaded, db);
-    }
-
-    #[test]
-    fn ndjson_torn_tail_stops_cleanly() {
-        let mut db = TuningDatabase::new();
-        db.store("k1", "d", "w", &sample_config(), 5.0, 10, 100);
-        db.store("k2", "d", "w", &sample_config(), 6.0, 20, 100);
-        let text = db.to_ndjson();
-        let cut = text.len() - 7;
-        let mut loaded = TuningDatabase::new();
-        assert_eq!(loaded.merge_ndjson(&text[..cut]), 1);
-        assert!(loaded.lookup("k1", "d", "w").is_some());
-        assert!(loaded.lookup("k2", "d", "w").is_none());
+        std::fs::remove_file(wal::tmp_path(&checkpoint_path(path))).ok();
     }
 
     #[test]
@@ -620,13 +507,16 @@ mod tests {
 
         let (reloaded, _log2) = DatabaseLog::open(&path).unwrap();
         assert_eq!(reloaded, db);
-        // Plain load() understands the record log too.
+        assert_eq!(
+            reloaded.lookup("k", "d", "w").unwrap().config(),
+            sample_config()
+        );
         assert_eq!(TuningDatabase::load(&path).unwrap(), db);
         cleanup(&path);
     }
 
     #[test]
-    fn log_compaction_truncates_and_preserves() {
+    fn log_compaction_restarts_the_log_and_preserves_records() {
         let path = temp_db_path("compact");
         cleanup(&path);
         let (mut db, log) = DatabaseLog::open(&path).unwrap();
@@ -641,8 +531,8 @@ mod tests {
         assert_eq!(report.records, 6);
         assert!(!log.should_compact());
         assert_eq!(log.compactions(), 1);
-        // Live log truncated, checkpoint holds everything.
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        // Live log restarted as just its header, checkpoint holds everything.
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);
         let (reloaded, _log2) = DatabaseLog::open(&path).unwrap();
         assert_eq!(reloaded, db);
         // Appends after compaction land in the fresh log.
@@ -654,27 +544,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_file_is_migrated_on_first_compaction() {
-        let path = temp_db_path("legacy");
+    fn a_flipped_digit_in_a_stored_cost_is_caught_by_the_checksum() {
+        let path = temp_db_path("flip");
         cleanup(&path);
-        let mut legacy = TuningDatabase::new();
-        legacy.store("old", "dev", "w", &sample_config(), 2.0, 9, 81);
-        legacy.save(&path).unwrap();
-
         let (mut db, mut log) = DatabaseLog::open(&path).unwrap();
-        assert_eq!(db, legacy);
-        // Appending onto the legacy JSON would corrupt it: refused until
-        // the pending migration compaction runs.
-        assert!(log.should_compact());
-        let rec = db.record("old", "dev", "w").unwrap();
-        assert!(log.append(&rec).is_err());
-        log.compact(&db).unwrap();
-        db.store("new", "dev", "w", &sample_config(), 1.0, 2, 81);
-        log.append(&db.record("new", "dev", "w").unwrap()).unwrap();
-
-        let (reloaded, _log2) = DatabaseLog::open(&path).unwrap();
-        assert_eq!(reloaded, db);
-        assert_eq!(TuningDatabase::load(&path).unwrap(), db);
+        db.store("k1", "d", "w", &sample_config(), 5.0, 10, 100);
+        log.append(&db.record("k1", "d", "w").unwrap()).unwrap();
+        db.store("k2", "d", "w", &sample_config(), 6.0, 20, 100);
+        log.append(&db.record("k2", "d", "w").unwrap()).unwrap();
+        drop(log);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"cost\":6.0"));
+        std::fs::write(&path, text.replace("\"cost\":6.0", "\"cost\":1.0")).unwrap();
+        let loaded = TuningDatabase::load(&path).unwrap();
+        assert!(loaded.lookup("k1", "d", "w").is_some());
+        assert!(loaded.lookup("k2", "d", "w").is_none(), "a lying record");
         cleanup(&path);
     }
 }

@@ -1,46 +1,33 @@
-//! Crash-safe run journal: an append-only NDJSON write-ahead log of
-//! evaluation outcomes, replayable into a fresh
+//! Crash-safe run journal: an append-only write-ahead log of evaluation
+//! outcomes, replayable into a fresh
 //! [`TuningSession`](crate::session::TuningSession) so an interrupted
 //! multi-hour tuning run resumes instead of starting over.
 //!
-//! Layout: the first line is a [`JournalHeader`] describing the run
-//! (technique, space size); every following line is one [`JournalEntry`]
-//! recording the evaluated point's coordinates and outcome. Entries are
-//! written *before* the session state advances, flushed per entry, and
-//! fsynced in batches ([`JournalWriter::SYNC_EVERY`]) plus on close — a
-//! crash loses at most the last unsynced batch, and a torn final line is
-//! skipped on load rather than poisoning the whole journal.
+//! The file is a [`crate::wal`] log: a [`JournalHeader`] line describing
+//! the run (technique, space size, window), then one checksummed
+//! [`JournalEntry`] line per evaluated point. Entries are written *before*
+//! the session state advances and fsynced in batches
+//! ([`JournalWriter::SYNC_EVERY`]) plus on close — a crash loses at most
+//! the last unsynced batch, and a torn or corrupt line ends the intact
+//! prefix on load rather than poisoning the whole journal.
 //!
-//! Since version 4 every entry line is wrapped with a checksum
-//! (`{"crc":"<fnv1a-64 hex>","entry":{...}}`) so silent storage corruption
-//! is detected and treated like a torn tail, and the journal can be
-//! periodically compacted into a checkpoint file
-//! ([`checkpoint_path`]) written atomically (tmp + fsync + rename).
+//! The journal can be periodically compacted into a checkpoint file
+//! ([`checkpoint_path`]) replaced atomically.
 //! [`LoadedJournal::load_with_checkpoint`] replays the checkpoint first and
 //! then the live tail, deduplicating by arrival number, so a kill at any
 //! point of the compaction sequence resumes to the same state.
 
 use crate::cost::FailureKind;
 use crate::search::Point;
+use crate::wal;
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Current journal format version, written into every header. Version 2
-/// added per-entry `ticket` and the header `window` (parallel evaluation);
-/// version 3 added per-entry `elapsed_ms` so time-based abort conditions
-/// survive a resume; version 4 wraps every entry line in a checksum and
-/// introduces checkpoint compaction. Older journals load fine — a missing
-/// ticket defaults to the evaluation number (serial runs hand out tickets
-/// in order), a missing window to 1, a missing `elapsed_ms` to `None` (the
-/// resumed clock then restarts, the pre-v3 behaviour), and bare
-/// (unchecksummed) entry lines are accepted as written by v1–v3.
-pub const JOURNAL_VERSION: u32 = 4;
+pub use crate::wal::checkpoint_path;
 
-fn default_window() -> usize {
-    1
-}
+/// The journal format version, written into every header; a journal whose
+/// header says anything else is refused as an unsupported format.
+pub const JOURNAL_VERSION: u32 = 4;
 
 /// First line of a journal: identifies the run shape so a resume against a
 /// different specification is rejected instead of silently corrupting the
@@ -56,7 +43,6 @@ pub struct JournalHeader {
     /// Maximum number of simultaneously pending configurations the run was
     /// driven with. Replay must use the same window to hand out tickets in
     /// the same order.
-    #[serde(default = "default_window")]
     pub window: usize,
 }
 
@@ -69,24 +55,20 @@ pub struct JournalEntry {
     /// *arrived*, which under parallel evaluation may differ from the order
     /// configurations were handed out.
     pub evaluation: u64,
-    /// Ticket of the handed-out configuration this entry reports on
-    /// (`None` in version-1 journals, where it equals `evaluation`).
-    #[serde(default)]
+    /// Ticket of the handed-out configuration this entry reports on; every
+    /// entry a session writes carries one.
     pub ticket: Option<u64>,
     /// Coordinates of the evaluated configuration in the valid space.
     pub point: Point,
     /// Measured cost vector (`None` when the measurement failed).
-    #[serde(default)]
     pub costs: Option<Vec<f64>>,
     /// Failure class label ([`FailureKind::label`]) when the measurement
     /// failed.
-    #[serde(default)]
     pub failure: Option<String>,
     /// Cumulative wall-clock milliseconds since the run (not the process)
     /// started, stamped when the report arrived. Replay restores the run
     /// clock from these, so `duration`/`speedup(s, t)` aborts fire at the
-    /// same total budget across resumes (`None` in pre-v3 journals).
-    #[serde(default)]
+    /// same total budget across resumes.
     pub elapsed_ms: Option<u64>,
 }
 
@@ -97,106 +79,14 @@ impl JournalEntry {
     }
 }
 
-/// A version-4 entry line: the entry plus an FNV-1a 64 checksum (hex) of
-/// its canonical JSON serialization. A line whose checksum does not match
-/// is treated exactly like a torn tail: everything before it is intact.
-#[derive(Deserialize)]
-struct ChecksummedLine {
-    crc: String,
-    entry: JournalEntry,
-}
-
-/// FNV-1a 64-bit: tiny, dependency-free, and plenty to catch bit rot and
-/// torn or overwritten sectors (this is corruption *detection*, not
-/// cryptographic integrity).
-fn fnv1a64(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in s.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a 64 hash of arbitrary text, rendered as 16 hex digits — the same
-/// hash the checksummed entry lines use. Other write-ahead logs (the
-/// campaign journal) key resumable state by a content hash of their source
-/// file through this, so a resume against an edited file is rejected
-/// instead of silently diverging.
-pub fn content_hash(text: &str) -> String {
-    format!("{:016x}", fnv1a64(text))
-}
-
-/// Wraps any serializable entry in the version-4 checksummed-line format
-/// (`{"crc":"<fnv1a-64 hex>","entry":{...}}`), making the corruption
-/// detection of run journals reusable by other append-only logs.
-pub fn checksummed_json_line<T: Serialize>(entry: &T) -> Result<String, JournalError> {
-    let body = serde_json::to_string(entry).map_err(io_invalid)?;
-    let crc = format!("{:016x}", fnv1a64(&body));
-    Ok(format!("{{\"crc\":\"{crc}\",\"entry\":{body}}}"))
-}
-
-/// Parses a [`checksummed_json_line`]; `None` when the line is torn,
-/// corrupt, or not checksummed at all. Verification re-serializes the
-/// parsed entry (same serializer, field order and float formatting), so a
-/// mismatch means the bytes changed on disk.
-pub fn parse_checksummed_json_line<T: Serialize + Deserialize>(line: &str) -> Option<T> {
-    let value: serde::Value = serde_json::from_str(line).ok()?;
-    let crc = value.get("crc")?.as_str()?.to_string();
-    let entry = T::from_value(value.get("entry")?).ok()?;
-    let body = serde_json::to_string(&entry).ok()?;
-    (format!("{:016x}", fnv1a64(&body)) == crc).then_some(entry)
-}
-
-fn checksummed_line(entry: &JournalEntry) -> Result<String, JournalError> {
-    checksummed_json_line(entry)
-}
-
-/// Parses one entry line: a v4 checksummed wrapper (verified) or a bare
-/// v1–v3 entry. `None` means the line is torn or corrupt.
-fn parse_entry_line(line: &str) -> Option<JournalEntry> {
-    if let Ok(wrapped) = serde_json::from_str::<ChecksummedLine>(line) {
-        // Re-serializing the parsed entry reproduces the exact bytes the
-        // writer checksummed (same serializer, field order and float
-        // formatting), so a mismatch means the line changed on disk.
-        let body = serde_json::to_string(&wrapped.entry).ok()?;
-        let crc = format!("{:016x}", fnv1a64(&body));
-        return (crc == wrapped.crc).then_some(wrapped.entry);
-    }
-    serde_json::from_str::<JournalEntry>(line).ok()
-}
-
-/// Path of the checkpoint a journal at `path` compacts into.
-pub fn checkpoint_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".ckpt");
-    PathBuf::from(name)
-}
-
-pub(crate) fn checkpoint_tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".ckpt.tmp");
-    PathBuf::from(name)
-}
-
-/// Best-effort parent-directory fsync after a rename, so the new directory
-/// entry itself is durable. Opening a directory read-only works on the
-/// platforms we target; anywhere it does not, skipping the sync only
-/// weakens durability back to pre-checkpoint semantics.
-pub(crate) fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-}
-
 /// Journal I/O and consistency errors.
 #[derive(Debug)]
 pub enum JournalError {
-    /// Reading or writing the journal file failed.
+    /// Reading or writing the journal file failed, or the file is in an
+    /// unsupported format.
     Io(std::io::Error),
-    /// The journal file does not start with a valid header line.
+    /// There is no journal at the path: the file is missing, or its
+    /// creation was interrupted before the header became durable.
     BadHeader(String),
     /// The journal belongs to a different run shape (technique or space
     /// size differ).
@@ -230,11 +120,10 @@ impl From<std::io::Error> for JournalError {
 }
 
 /// Append-only journal writer with fsync batching and optional checkpoint
-/// compaction.
+/// compaction: a typed view over a [`wal::Writer`].
 pub struct JournalWriter {
     path: PathBuf,
-    file: BufWriter<File>,
-    unsynced: usize,
+    log: wal::Writer,
     checkpoint_every: Option<usize>,
     since_checkpoint: usize,
     fail_appends: u64,
@@ -251,8 +140,9 @@ impl JournalWriter {
     /// removed — a fresh run must not inherit stale history.
     pub fn create(path: impl Into<PathBuf>, header: &JournalHeader) -> Result<Self, JournalError> {
         let path = path.into();
-        let _ = std::fs::remove_file(checkpoint_path(&path));
-        let _ = std::fs::remove_file(checkpoint_tmp_path(&path));
+        let ckpt = checkpoint_path(&path);
+        let _ = std::fs::remove_file(wal::tmp_path(&ckpt));
+        let _ = std::fs::remove_file(ckpt);
         Self::create_tail(path, header)
     }
 
@@ -264,64 +154,28 @@ impl JournalWriter {
         header: &JournalHeader,
     ) -> Result<Self, JournalError> {
         let path = path.into();
-        let file = File::create(&path)?;
-        let mut writer = JournalWriter {
-            path,
-            file: BufWriter::new(file),
-            unsynced: 0,
-            checkpoint_every: None,
-            since_checkpoint: 0,
-            fail_appends: 0,
-        };
-        writer.write_line(&serde_json::to_string(header).map_err(io_invalid)?)?;
-        writer.sync()?;
-        Ok(writer)
-    }
-
-    /// Reopens an existing journal for appending (after a replay).
-    pub fn append_to(path: impl Into<PathBuf>) -> Result<Self, JournalError> {
-        let path = path.into();
-        let file = OpenOptions::new().append(true).open(&path)?;
-        Ok(JournalWriter {
-            path,
-            file: BufWriter::new(file),
-            unsynced: 0,
-            checkpoint_every: None,
-            since_checkpoint: 0,
-            fail_appends: 0,
-        })
+        let log = wal::Writer::create(&path, header, Self::SYNC_EVERY)?;
+        Ok(Self::over(path, log))
     }
 
     /// Reopens a journal for appending after truncating it to its intact
-    /// prefix (`intact_len` bytes, as reported by [`LoadedJournal`]). This
-    /// discards a torn final line so the next append starts a fresh line
-    /// instead of gluing itself onto the torn one — which would make the
-    /// loader drop every entry from the torn line onward on the *next*
-    /// resume.
+    /// prefix (`intact_len` bytes, as reported by [`LoadedJournal`]), so
+    /// the next append starts a fresh line instead of gluing itself onto a
+    /// torn one.
     pub fn append_from(path: impl Into<PathBuf>, intact_len: u64) -> Result<Self, JournalError> {
         let path = path.into();
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        file.set_len(intact_len)?;
-        file.seek(SeekFrom::End(0))?;
-        // If the intact prefix does not end with a newline (a final line
-        // that parsed fine but was never terminated), terminate it now.
-        if intact_len > 0 {
-            file.seek(SeekFrom::Start(intact_len - 1))?;
-            let mut last = [0u8; 1];
-            file.read_exact(&mut last)?;
-            if last[0] != b'\n' {
-                file.write_all(b"\n")?;
-            }
-        }
-        file.sync_data()?;
-        Ok(JournalWriter {
+        let log = wal::Writer::open_at(&path, intact_len, Self::SYNC_EVERY)?;
+        Ok(Self::over(path, log))
+    }
+
+    fn over(path: PathBuf, log: wal::Writer) -> Self {
+        JournalWriter {
             path,
-            file: BufWriter::new(file),
-            unsynced: 0,
+            log,
             checkpoint_every: None,
             since_checkpoint: 0,
             fail_appends: 0,
-        })
+        }
     }
 
     /// The journal's file path.
@@ -342,9 +196,9 @@ impl JournalWriter {
         self.fail_appends = n;
     }
 
-    /// Appends one entry; flushed immediately, fsynced every
-    /// [`SYNC_EVERY`](Self::SYNC_EVERY) entries, compacted into the
-    /// checkpoint when the configured interval is reached.
+    /// Appends one entry; fsynced every [`SYNC_EVERY`](Self::SYNC_EVERY)
+    /// entries, compacted into the checkpoint when the configured interval
+    /// is reached.
     pub fn append(&mut self, entry: &JournalEntry) -> Result<(), JournalError> {
         if self.fail_appends > 0 {
             self.fail_appends -= 1;
@@ -352,87 +206,40 @@ impl JournalWriter {
                 "injected write failure (simulated full disk)",
             )));
         }
-        self.write_line(&checksummed_line(entry)?)?;
-        self.unsynced += 1;
-        if self.unsynced >= Self::SYNC_EVERY {
-            self.sync()?;
-        }
+        self.log.append(entry)?;
         self.since_checkpoint += 1;
-        if let Some(every) = self.checkpoint_every {
-            if self.since_checkpoint >= every {
-                self.compact()?;
-            }
+        if self
+            .checkpoint_every
+            .is_some_and(|n| self.since_checkpoint >= n)
+        {
+            self.compact()?;
         }
         Ok(())
     }
 
     /// Compacts the journal: merges the existing checkpoint (if any) with
-    /// the live tail into a new checkpoint file, written to a temporary
-    /// sibling, fsynced, and atomically renamed into place; the live tail
-    /// is then rewritten as just a header. A kill at any point leaves a
-    /// loadable state: before the rename the old checkpoint + full tail
-    /// are untouched; after it the new checkpoint holds everything and the
-    /// (possibly still unrewritten) tail only contributes entries newer
+    /// the live tail into a new, atomically replaced checkpoint file; the
+    /// live tail is then rewritten as just a header. A kill at any point
+    /// leaves a loadable state: before the rename the old checkpoint + full
+    /// tail are untouched; after it the new checkpoint holds everything and
+    /// the (possibly still unrewritten) tail only contributes entries newer
     /// than the checkpoint.
     pub fn compact(&mut self) -> Result<(), JournalError> {
         self.sync()?;
         let merged = LoadedJournal::load_with_checkpoint(&self.path)?;
-        let header = JournalHeader {
-            version: JOURNAL_VERSION,
-            ..merged.header.clone()
-        };
-        let header_line = serde_json::to_string(&header).map_err(io_invalid)?;
-        let ckpt = checkpoint_path(&self.path);
-        let tmp = checkpoint_tmp_path(&self.path);
-        {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            w.write_all(header_line.as_bytes())?;
-            w.write_all(b"\n")?;
-            for entry in &merged.entries {
-                w.write_all(checksummed_line(entry)?.as_bytes())?;
-                w.write_all(b"\n")?;
-            }
-            w.flush()?;
-            w.get_ref().sync_data()?;
-        }
-        std::fs::rename(&tmp, &ckpt)?;
-        sync_parent_dir(&self.path);
+        wal::replace_atomically(&checkpoint_path(&self.path), |out| {
+            wal::write_log(out, &merged.header, &merged.entries)
+        })?;
         // From here on the checkpoint carries the history; restart the tail.
-        self.file = BufWriter::new(File::create(&self.path)?);
-        self.unsynced = 0;
-        self.write_line(&header_line)?;
-        self.file.get_ref().sync_data()?;
+        self.log = wal::Writer::create(&self.path, &merged.header, Self::SYNC_EVERY)?;
         self.since_checkpoint = 0;
         Ok(())
     }
 
-    /// Flushes and fsyncs everything written so far.
+    /// Fsyncs everything written so far.
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.file.flush()?;
-        self.file.get_ref().sync_data()?;
-        self.unsynced = 0;
-        Ok(())
+        Ok(self.log.sync()?)
     }
-
-    fn write_line(&mut self, line: &str) -> Result<(), JournalError> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.flush()?;
-        Ok(())
-    }
-}
-
-impl Drop for JournalWriter {
-    fn drop(&mut self) {
-        let _ = self.sync();
-    }
-}
-
-fn io_invalid(e: impl std::fmt::Display) -> JournalError {
-    JournalError::Io(std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        e.to_string(),
-    ))
 }
 
 /// A fully loaded journal: header plus every intact entry.
@@ -443,55 +250,25 @@ pub struct LoadedJournal {
     /// All intact entries, in write order.
     pub entries: Vec<JournalEntry>,
     /// Byte length of the intact prefix of the live journal file (header
-    /// plus every line that decoded cleanly). `None` when the live tail
-    /// itself is unusable and only a checkpoint carried the run — the tail
-    /// must then be recreated before appending. Appending beyond a torn
-    /// line without truncating to this prefix first would merge the new
-    /// entry into the torn line and lose both.
+    /// plus every line that verified). `None` when the live tail itself is
+    /// unusable and only a checkpoint carried the run — the tail must then
+    /// be recreated before appending.
     pub tail_intact_len: Option<u64>,
 }
 
 impl LoadedJournal {
     /// Loads a single journal file, tolerating a torn (crash-truncated) or
-    /// corrupt (checksum-mismatching) final line: entries from the first
-    /// undecodable line onward are dropped.
+    /// corrupt (checksum-mismatching) line: entries from the first such
+    /// line onward are dropped.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        let file = File::open(path.as_ref())?;
-        let mut reader = BufReader::new(file);
-        let mut buf = String::new();
-        let n = reader.read_line(&mut buf)?;
-        if n == 0 {
-            return Err(JournalError::BadHeader("journal file is empty".into()));
-        }
-        let header: JournalHeader = serde_json::from_str(buf.trim_end())
-            .map_err(|e| JournalError::BadHeader(e.to_string()))?;
-        let mut intact = n as u64;
-        let mut entries = Vec::new();
-        loop {
-            buf.clear();
-            let n = reader.read_line(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            let line = buf.trim();
-            if line.is_empty() {
-                intact += n as u64;
-                continue;
-            }
-            match parse_entry_line(line) {
-                Some(entry) => {
-                    entries.push(entry);
-                    intact += n as u64;
-                }
-                // A torn or corrupt line: everything before it is intact,
-                // so stop here and resume from that prefix.
-                None => break,
-            }
-        }
+        let path = path.as_ref();
+        let log = wal::load(path, JOURNAL_VERSION)?.ok_or_else(|| {
+            JournalError::BadHeader(format!("no complete header line in {}", path.display()))
+        })?;
         Ok(LoadedJournal {
-            header,
-            entries,
-            tail_intact_len: Some(intact),
+            header: log.header,
+            entries: log.entries,
+            tail_intact_len: Some(log.intact_len),
         })
     }
 
@@ -504,49 +281,28 @@ impl LoadedJournal {
     /// to the checkpoint alone.
     pub fn load_with_checkpoint(path: impl AsRef<Path>) -> Result<Self, JournalError> {
         let path = path.as_ref();
-        let ckpt_path = checkpoint_path(path);
-        let ckpt = if ckpt_path.exists() {
-            LoadedJournal::load(&ckpt_path).ok()
-        } else {
-            None
-        };
-        let Some(ckpt) = ckpt else {
+        let Ok(ckpt) = Self::load(checkpoint_path(path)) else {
             return Self::load(path);
         };
         match Self::load(path) {
             Ok(tail) => {
-                if tail.header.technique != ckpt.header.technique
-                    || tail.header.space_size != ckpt.header.space_size
-                {
+                if tail.header != ckpt.header {
                     // The checkpoint belongs to some other run that once
                     // used this path; trust the live journal.
                     return Ok(tail);
                 }
                 let last = ckpt.entries.last().map(|e| e.evaluation).unwrap_or(0);
-                let tail_intact_len = tail.tail_intact_len;
                 let mut entries = ckpt.entries;
                 entries.extend(tail.entries.into_iter().filter(|e| e.evaluation > last));
-                Ok(LoadedJournal {
-                    header: tail.header,
-                    entries,
-                    tail_intact_len,
-                })
+                Ok(LoadedJournal { entries, ..tail })
             }
             // A kill between the checkpoint rename and the tail rewrite can
-            // leave the tail empty or headerless; the checkpoint alone
+            // leave the tail missing or headerless; the checkpoint alone
             // carries the run.
             Err(JournalError::BadHeader(_)) => Ok(LoadedJournal {
-                header: ckpt.header,
-                entries: ckpt.entries,
                 tail_intact_len: None,
+                ..ckpt
             }),
-            Err(JournalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                Ok(LoadedJournal {
-                    header: ckpt.header,
-                    entries: ckpt.entries,
-                    tail_intact_len: None,
-                })
-            }
             Err(e) => Err(e),
         }
     }
@@ -622,116 +378,48 @@ mod tests {
     }
 
     #[test]
-    fn append_continues_an_existing_journal() {
-        let path = tmp("append");
-        let mut w = JournalWriter::create(&path, &header()).unwrap();
-        w.append(&ok_entry(1)).unwrap();
-        drop(w);
-        let mut w = JournalWriter::append_to(&path).unwrap();
-        w.append(&ok_entry(2)).unwrap();
-        drop(w);
-        let loaded = LoadedJournal::load(&path).unwrap();
-        assert_eq!(loaded.entries.len(), 2);
-        assert_eq!(loaded.entries[1].evaluation, 2);
+    fn old_version_journals_are_refused_and_left_untouched() {
+        let path = tmp("old-versions");
+        for text in [
+            "{\"version\":1,\"technique\":\"exhaustive\",\"space_size\":\"64\"}\n\
+             {\"evaluation\":1,\"point\":[0,1],\"costs\":[1.0]}\n",
+            "{\"version\":2,\"technique\":\"exhaustive\",\"space_size\":\"64\",\"window\":2}\n\
+             {\"evaluation\":1,\"ticket\":2,\"point\":[0,1],\"costs\":[1.0]}\n",
+            "{\"version\":3,\"technique\":\"exhaustive\",\"space_size\":\"64\",\"window\":1}\n\
+             {\"evaluation\":1,\"ticket\":1,\"point\":[0,1],\"costs\":[1.0],\"elapsed_ms\":5}\n",
+            "not json\n",
+        ] {
+            std::fs::write(&path, text).unwrap();
+            for loaded in [
+                LoadedJournal::load(&path),
+                LoadedJournal::load_with_checkpoint(&path),
+            ] {
+                let err = loaded.unwrap_err().to_string();
+                assert!(err.contains("unsupported format"), "{err}");
+            }
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        }
     }
 
     #[test]
-    fn torn_tail_is_dropped_not_fatal() {
-        let path = tmp("torn");
+    fn a_bare_entry_line_in_a_v4_journal_ends_the_intact_prefix() {
+        let path = tmp("bare-line");
         let mut w = JournalWriter::create(&path, &header()).unwrap();
         w.append(&ok_entry(1)).unwrap();
-        w.append(&ok_entry(2)).unwrap();
         drop(w);
-        // Simulate a crash mid-write: append half a JSON line.
-        use std::io::Write as _;
         let intact = std::fs::metadata(&path).unwrap().len();
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"evaluation\":3,\"point\":[1").unwrap();
-        drop(f);
-        let loaded = LoadedJournal::load(&path).unwrap();
-        assert_eq!(loaded.entries.len(), 2);
-        assert_eq!(loaded.tail_intact_len, Some(intact));
-    }
-
-    #[test]
-    fn append_from_truncates_the_torn_tail_first() {
-        // Appending after a torn line must not glue the new entry onto it:
-        // the loader would drop both on the next resume.
-        let path = tmp("torn-append");
-        let mut w = JournalWriter::create(&path, &header()).unwrap();
-        w.append(&ok_entry(1)).unwrap();
-        drop(w);
-        use std::io::Write as _;
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"evaluation\":2,\"point\":[9").unwrap();
-        drop(f);
-        let loaded = LoadedJournal::load(&path).unwrap();
-        let mut w = JournalWriter::append_from(&path, loaded.tail_intact_len.unwrap()).unwrap();
-        w.append(&ok_entry(2)).unwrap();
-        drop(w);
-        let loaded = LoadedJournal::load(&path).unwrap();
-        assert_eq!(loaded.entries.len(), 2);
-        assert_eq!(loaded.entries[1], ok_entry(2));
-    }
-
-    #[test]
-    fn corrupt_entry_line_is_detected_by_checksum() {
-        let path = tmp("crc");
-        let mut w = JournalWriter::create(&path, &header()).unwrap();
-        w.append(&ok_entry(1)).unwrap();
-        w.append(&ok_entry(2)).unwrap();
+        let bare = serde_json::to_string(&ok_entry(2)).unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&bare);
+        text.push('\n');
+        std::fs::write(&path, text).unwrap();
+        let mut w = JournalWriter::append_from(&path, intact).unwrap();
         w.append(&ok_entry(3)).unwrap();
         drop(w);
-        // Flip one digit inside the middle entry's payload: still valid
-        // JSON, but the checksum no longer matches, so loading stops there.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        assert!(lines[2].contains("\"evaluation\":2"));
-        lines[2] = lines[2].replace("\"evaluation\":2", "\"evaluation\":7");
-        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        // Loading stopped before the bare line, and the append that
+        // followed truncated it away.
         let loaded = LoadedJournal::load(&path).unwrap();
-        assert_eq!(loaded.entries.len(), 1);
-        assert_eq!(loaded.entries[0].evaluation, 1);
-    }
-
-    #[test]
-    fn version_1_journals_load_with_defaults() {
-        // A journal written before tickets/window existed must still load:
-        // window defaults to 1 and tickets to None (= the evaluation number).
-        let path = tmp("v1");
-        std::fs::write(
-            &path,
-            concat!(
-                "{\"version\":1,\"technique\":\"exhaustive\",\"space_size\":\"64\"}\n",
-                "{\"evaluation\":1,\"point\":[0,1],\"costs\":[1.0]}\n",
-            ),
-        )
-        .unwrap();
-        let loaded = LoadedJournal::load(&path).unwrap();
-        assert_eq!(loaded.header.window, 1);
-        assert_eq!(loaded.entries.len(), 1);
-        assert_eq!(loaded.entries[0].ticket, None);
-        assert_eq!(loaded.entries[0].elapsed_ms, None);
-    }
-
-    #[test]
-    fn version_2_journals_load_without_elapsed() {
-        // Version-2 journals (tickets + window, no timestamps) must still
-        // load; their entries carry no elapsed time, so a resume keeps the
-        // old restart-the-clock behaviour instead of failing.
-        let path = tmp("v2");
-        std::fs::write(
-            &path,
-            concat!(
-                "{\"version\":2,\"technique\":\"exhaustive\",\"space_size\":\"64\",\"window\":2}\n",
-                "{\"evaluation\":1,\"ticket\":2,\"point\":[0,1],\"costs\":[1.0]}\n",
-            ),
-        )
-        .unwrap();
-        let loaded = LoadedJournal::load(&path).unwrap();
-        assert_eq!(loaded.header.window, 2);
-        assert_eq!(loaded.entries[0].ticket, Some(2));
-        assert_eq!(loaded.entries[0].elapsed_ms, None);
+        assert_eq!(loaded.entries, vec![ok_entry(1), ok_entry(3)]);
     }
 
     #[test]
@@ -764,14 +452,14 @@ mod tests {
         }
         drop(w);
         let full = std::fs::read(&path).unwrap();
-        let mut w = JournalWriter::append_to(&path).unwrap();
+        let mut w = JournalWriter::append_from(&path, full.len() as u64).unwrap();
         w.set_checkpoint_every(Some(1));
         w.append(&ok_entry(6)).unwrap(); // compacts: ckpt = 1..=6, tail = header only
         drop(w);
         // Restore the pre-compaction tail as if the rewrite never happened,
         // then add one post-checkpoint entry.
-        std::fs::write(&path, full).unwrap();
-        let mut w = JournalWriter::append_to(&path).unwrap();
+        std::fs::write(&path, &full).unwrap();
+        let mut w = JournalWriter::append_from(&path, full.len() as u64).unwrap();
         w.append(&ok_entry(7)).unwrap();
         drop(w);
         let merged = LoadedJournal::load_with_checkpoint(&path).unwrap();
@@ -794,18 +482,24 @@ mod tests {
         let merged = LoadedJournal::load_with_checkpoint(&path).unwrap();
         assert_eq!(merged.entries, (1..=4).map(ok_entry).collect::<Vec<_>>());
         assert_eq!(merged.tail_intact_len, None);
+        // Without a checkpoint the same file is an error, not an empty run.
+        assert!(matches!(
+            LoadedJournal::load(&path),
+            Err(JournalError::BadHeader(_))
+        ));
     }
 
     #[test]
     fn lingering_tmp_checkpoint_is_ignored_and_fresh_create_clears_state() {
         let path = tmp("ckpt-tmp");
+        let ckpt_tmp = wal::tmp_path(&checkpoint_path(&path));
         let mut w = JournalWriter::create(&path, &header()).unwrap();
         w.set_checkpoint_every(Some(1));
         w.append(&ok_entry(1)).unwrap();
         drop(w);
         // A kill before the rename leaves only the tmp file behind; the
         // loader never reads it.
-        std::fs::write(checkpoint_tmp_path(&path), "garbage\n").unwrap();
+        std::fs::write(&ckpt_tmp, "garbage\n").unwrap();
         let merged = LoadedJournal::load_with_checkpoint(&path).unwrap();
         assert_eq!(merged.entries.len(), 1);
         // A fresh create() must clear both checkpoint artifacts, or a new
@@ -813,7 +507,7 @@ mod tests {
         let w = JournalWriter::create(&path, &header()).unwrap();
         drop(w);
         assert!(!checkpoint_path(&path).exists());
-        assert!(!checkpoint_tmp_path(&path).exists());
+        assert!(!ckpt_tmp.exists());
         let merged = LoadedJournal::load_with_checkpoint(&path).unwrap();
         assert!(merged.entries.is_empty());
     }
@@ -829,20 +523,5 @@ mod tests {
         w.append(&ok_entry(2)).unwrap();
         drop(w);
         assert_eq!(LoadedJournal::load(&path).unwrap().entries.len(), 2);
-    }
-
-    #[test]
-    fn empty_or_garbled_header_rejected() {
-        let path = tmp("bad");
-        std::fs::write(&path, "").unwrap();
-        assert!(matches!(
-            LoadedJournal::load(&path),
-            Err(JournalError::BadHeader(_))
-        ));
-        std::fs::write(&path, "not json\n").unwrap();
-        assert!(matches!(
-            LoadedJournal::load(&path),
-            Err(JournalError::BadHeader(_))
-        ));
     }
 }

@@ -704,7 +704,9 @@ impl<C: CostValue> TuningSession<C> {
 
     /// Enables journal checkpoint compaction every `every` entries
     /// (builder-style): the journal is periodically folded into an
-    /// atomically-replaced checkpoint file, bounding the live tail's size.
+    /// atomically-replaced checkpoint file. This bounds the live tail
+    /// file only — the checkpoint keeps every entry, so a resume still
+    /// replays the whole history and each compaction rewrites it.
     /// Applies to a journal attached before or after this call.
     pub fn journal_checkpoint_every(mut self, every: usize) -> Self {
         self.checkpoint_every = Some(every).filter(|n| *n > 0);
@@ -785,9 +787,9 @@ impl<C: CostValue> TuningSession<C> {
     {
         let mut replayed = 0u64;
         'entries: for entry in entries {
-            // Version-1 journals were strictly serial: the ticket is the
-            // evaluation number.
-            let ticket = entry.ticket.unwrap_or(entry.evaluation);
+            let ticket = entry.ticket.ok_or_else(|| {
+                TuningError::Journal(format!("entry {} carries no ticket", entry.evaluation))
+            })?;
             // Hand out tickets until the entry's ticket has been issued.
             while self.next_ticket_id <= ticket {
                 match self.next_ticket() {

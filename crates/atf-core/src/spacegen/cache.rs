@@ -15,9 +15,8 @@
 //! an effectively 128-bit key, and the stored file repeats the key so a
 //! colliding or corrupt file is rejected on load and regenerated.
 //!
-//! Writes are atomic (temp file + fsync + rename), matching the journal
-//! checkpoint discipline — a crash mid-store leaves either the old entry or
-//! none, never a torn one.
+//! Writes go through [`crate::wal::replace_atomically`] — a crash
+//! mid-store leaves either the old entry or none, never a torn one.
 //!
 //! The cache can be bounded ([`SpaceCache::with_limits`]) by entry count
 //! and total bytes; every store then evicts least-recently-used entries
@@ -27,20 +26,12 @@
 use crate::space::GroupSpace;
 use crate::spec::ParameterSpec;
 use crate::value::Value;
+use crate::wal::{self, fnv1a64};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const CACHE_VERSION: u32 = 1;
-
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// The canonical text form of a parameter list — the hash input. Field
 /// order is fixed and every range/constraint detail is spelled out, so
@@ -75,8 +66,8 @@ fn canonical(parameters: &[ParameterSpec]) -> String {
 /// hashes of the canonical text, hex-concatenated.
 pub fn spec_key(parameters: &[ParameterSpec]) -> String {
     let text = canonical(parameters);
-    let a = fnv1a(0xcbf2_9ce4_8422_2325, text.as_bytes());
-    let b = fnv1a(0x6c62_272e_07bb_0142, text.as_bytes());
+    let a = fnv1a64(None, text.as_bytes());
+    let b = fnv1a64(Some(0x6c62_272e_07bb_0142), text.as_bytes());
     format!("{a:016x}{b:016x}")
 }
 
@@ -207,27 +198,11 @@ impl SpaceCache {
         };
         let body = serde_json::to_string(&file)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = self
-            .dir
-            .join(format!(".{key}.space.json.tmp.{}", std::process::id()));
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-        }
-        match std::fs::rename(&tmp, self.entry_path(key)) {
-            Ok(()) => {
-                // Eviction is best-effort: a failed scan must not fail the
-                // store that just succeeded.
-                let _ = self.evict_lru();
-                Ok(())
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        wal::replace_atomically(&self.entry_path(key), |out| out.write_all(body.as_bytes()))?;
+        // Eviction is best-effort: a failed scan must not fail the store
+        // that just succeeded.
+        let _ = self.evict_lru();
+        Ok(())
     }
 
     /// Evicts least-recently-used entries until the configured entry-count
@@ -244,9 +219,9 @@ impl SpaceCache {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            // Only committed entries count; in-flight temp files (dotted)
-            // belong to a concurrent store and are left alone.
-            if name.starts_with('.') || !name.ends_with(".space.json") {
+            // Only committed entries count; an in-flight `.tmp` sibling
+            // belongs to a concurrent store and is left alone.
+            if !name.ends_with(".space.json") {
                 continue;
             }
             let meta = entry.metadata()?;

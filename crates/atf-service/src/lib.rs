@@ -31,6 +31,9 @@
 //! the `lookup` command then serves known-best configurations without any
 //! tuning.
 
+#[cfg(not(target_family = "unix"))]
+compile_error!("atf-service serves connections from a poll(2) reactor and builds on unix only");
+
 pub mod chaos;
 pub mod client;
 pub mod manager;

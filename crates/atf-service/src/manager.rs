@@ -33,8 +33,9 @@ use std::time::{Duration, Instant};
 pub const DEDUP_WINDOW: usize = 64;
 
 /// Checkpoint interval for service-side run journals: after this many
-/// journal appends the journal is compacted into an atomically-renamed
-/// checkpoint file, keeping resume-replay cost bounded for long sessions.
+/// journal appends the journal is compacted into an atomically-replaced
+/// checkpoint file and the live tail restarts as just a header. This bounds
+/// the tail file, not replay: a resume replays checkpoint + tail.
 const SERVICE_CHECKPOINT_EVERY: usize = 64;
 
 /// Tenant that `open`s without a `tenant` field are accounted under.
@@ -260,9 +261,7 @@ pub struct SessionManager {
 
 impl SessionManager {
     /// A manager with the given settings; loads the database from
-    /// `config.db_path` when the file exists (record log + checkpoint, or
-    /// a legacy whole-file JSON database, which the first compaction
-    /// migrates to the log format).
+    /// `config.db_path` when the file exists (record log + checkpoint).
     pub fn new(config: ManagerConfig) -> std::io::Result<Self> {
         let (db, db_log) = match &config.db_path {
             Some(p) => {
@@ -307,12 +306,7 @@ impl SessionManager {
     /// count. Stable for a given id, so every op on a session takes the
     /// same stripe.
     fn shard_of(&self, id: &str) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in id.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % self.shards.len() as u64) as usize
+        (atf_core::wal::fnv1a64(None, id.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// A manager with default settings and no persistence.
@@ -962,8 +956,7 @@ impl SessionManager {
         let Some(log) = log_guard.as_mut().and_then(|g| g.as_mut()) else {
             return;
         };
-        // A pending legacy-format migration (or a full log) compacts
-        // before the append lands in the fresh log.
+        // A full log compacts before the append lands in the fresh log.
         if log.should_compact() {
             self.compact_log(log);
         }

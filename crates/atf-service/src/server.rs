@@ -36,10 +36,6 @@ pub struct ServerConfig {
     /// How often the idle-expiry sweeper runs (idle sessions + stats
     /// snapshots, one batched pass per shard).
     pub sweep_interval: Duration,
-    /// Read timeout used by the non-unix thread-per-connection fallback so
-    /// its handler threads notice shutdown. The `poll(2)` reactor path
-    /// (every unix target) is event-driven and ignores this.
-    pub read_poll: Duration,
     /// Bounded connection slots: at most this many connections are open
     /// concurrently (`None` = bounded only by file descriptors). The
     /// reactor holds idle connections for the price of an fd and two
@@ -69,7 +65,6 @@ impl Default for ServerConfig {
         ServerConfig {
             accept_poll: Duration::from_millis(25),
             sweep_interval: Duration::from_secs(5),
-            read_poll: Duration::from_millis(500),
             max_connections: Some(4096),
             accept_queue: 64,
             drain_timeout: Duration::from_secs(5),
@@ -112,7 +107,6 @@ struct ShutdownState {
     /// Reactor loops to poke on signal, so a drain starts immediately
     /// instead of after the next poll park. Holding the `Arc` keeps the
     /// wake pipes open for as long as any handle might signal them.
-    #[cfg(unix)]
     wakers: Mutex<Vec<Arc<crate::reactor::IoShared>>>,
 }
 
@@ -129,7 +123,6 @@ impl ShutdownHandle {
                 flag: AtomicBool::new(false),
                 lock: Mutex::new(()),
                 cv: Condvar::new(),
-                #[cfg(unix)]
                 wakers: Mutex::new(Vec::new()),
             }),
         }
@@ -143,7 +136,6 @@ impl ShutdownHandle {
             let _guard = self.state.lock.lock();
             self.state.cv.notify_all();
         }
-        #[cfg(unix)]
         for waker in self.state.wakers.lock().iter() {
             waker.wake_for_shutdown();
         }
@@ -169,7 +161,6 @@ impl ShutdownHandle {
 
     /// Registers a reactor loop for immediate wakeup on signal. If the
     /// signal already fired, the loop is woken right away.
-    #[cfg(unix)]
     pub(crate) fn register_waker(&self, waker: Arc<crate::reactor::IoShared>) {
         if self.is_signaled() {
             waker.wake_for_shutdown();
@@ -244,7 +235,6 @@ impl Server {
     /// another server) reroutes SIGINT to the most recent one and retires
     /// the previous install completely: its pipe fds are closed and its
     /// watcher thread joined, so repeated installs leak nothing.
-    #[cfg(unix)]
     pub fn install_sigint(&self) {
         use std::sync::atomic::AtomicI32;
 
@@ -308,11 +298,6 @@ impl Server {
         }
         *previous = Some((write_fd, watcher));
     }
-
-    /// No-op off unix; stop the server with
-    /// [`shutdown_handle`](Server::shutdown_handle) instead.
-    #[cfg(not(unix))]
-    pub fn install_sigint(&self) {}
 
     /// Serves until shutdown, then drains gracefully: stop accepting,
     /// answer queued connections with `overloaded`, join the idle-expiry
@@ -383,10 +368,9 @@ impl Server {
         self.manager.persist()
     }
 
-    /// The unix connection engine: accept into the `poll(2)` reactor,
+    /// The connection engine: accept into the `poll(2)` reactor,
     /// shed past the hard cap, and at shutdown wait out the drain before
     /// tearing the reactor down. Returns `(still_open, within_deadline)`.
-    #[cfg(unix)]
     fn serve_connections(&self) -> std::io::Result<(usize, bool)> {
         let io_threads = self.config.resolved_io_threads();
         let handlers = self.config.resolved_handlers();
@@ -464,74 +448,6 @@ impl Server {
         }
     }
 
-    /// Non-unix fallback: thread-per-connection with the same shedding and
-    /// drain-the-buffered-requests semantics.
-    #[cfg(not(unix))]
-    fn serve_connections(&self) -> std::io::Result<(usize, bool)> {
-        use std::sync::atomic::AtomicUsize;
-
-        let active = Arc::new(AtomicUsize::new(0));
-        let mut queue: VecDeque<TcpStream> = VecDeque::new();
-        while !self.shutdown.is_signaled() {
-            if let Some(cap) = self.config.max_connections {
-                while !queue.is_empty() && active.load(Ordering::SeqCst) < cap {
-                    let stream = queue.pop_front().expect("queue nonempty");
-                    self.manager.metrics().set_accept_queue_depth(queue.len());
-                    self.spawn_connection(stream, &active);
-                }
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => match self.config.max_connections {
-                    None => self.spawn_connection(stream, &active),
-                    Some(cap) if active.load(Ordering::SeqCst) < cap => {
-                        self.spawn_connection(stream, &active)
-                    }
-                    Some(_) if queue.len() < self.config.accept_queue => {
-                        queue.push_back(stream);
-                        self.manager.metrics().set_accept_queue_depth(queue.len());
-                    }
-                    Some(_) => self.reject_connection(stream),
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.shutdown.wait(self.config.accept_poll);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let drain_started = Instant::now();
-        for stream in queue.drain(..) {
-            self.reject_connection(stream);
-        }
-        self.manager.metrics().set_accept_queue_depth(0);
-        while active.load(Ordering::SeqCst) > 0
-            && drain_started.elapsed() < self.config.drain_timeout
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let open = active.load(Ordering::SeqCst);
-        Ok((0, open == 0))
-    }
-
-    /// Spawns one connection handler, keeping the active-connection count
-    /// and gauge in step with the thread's lifetime. Gauge updates are
-    /// atomic inc/dec — a computed-then-set pair from two racing threads
-    /// can strand the gauge at a stale value forever.
-    #[cfg(not(unix))]
-    fn spawn_connection(&self, stream: TcpStream, active: &Arc<std::sync::atomic::AtomicUsize>) {
-        let manager = Arc::clone(&self.manager);
-        let shutdown = self.shutdown.clone();
-        let active = Arc::clone(active);
-        let read_poll = self.config.read_poll;
-        active.fetch_add(1, Ordering::SeqCst);
-        manager.metrics().connections_active.inc();
-        std::thread::spawn(move || {
-            serve_connection(stream, Arc::clone(&manager), shutdown, read_poll);
-            active.fetch_sub(1, Ordering::SeqCst);
-            manager.metrics().connections_active.dec();
-        });
-    }
-
     /// Hard-cap rejection: one `overloaded` response line with the
     /// retry-after hint, then close.
     fn reject_connection(&self, mut stream: TcpStream) {
@@ -551,70 +467,6 @@ impl Server {
             let _ = stream.write_all(line.as_bytes());
             let _ = stream.write_all(b"\n");
             let _ = stream.flush();
-        }
-    }
-}
-
-#[cfg(not(unix))]
-fn serve_connection(
-    stream: TcpStream,
-    manager: Arc<SessionManager>,
-    shutdown: ShutdownHandle,
-    read_poll: Duration,
-) {
-    use std::io::{BufRead, BufReader};
-
-    if stream.set_read_timeout(Some(read_poll)).is_err() {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut draining = false;
-    loop {
-        // Shutdown is observed *between* requests, but the connection
-        // does not close until every line already buffered (in the
-        // BufReader or the kernel) has been answered: switch the read
-        // timeout down and keep serving until a read yields nothing.
-        if !draining && shutdown.is_signaled() {
-            draining = true;
-            if reader
-                .get_ref()
-                .set_read_timeout(Some(Duration::from_millis(10)))
-                .is_err()
-            {
-                return;
-            }
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // peer closed
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let reply = manager.handle_line(trimmed);
-                    if writer
-                        .write_all(reply.as_bytes())
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if draining {
-                    return; // buffered requests all answered
-                }
-            }
-            Err(_) => return,
         }
     }
 }

@@ -415,7 +415,6 @@ fn graceful_drain_leaves_resumable_journals() {
         "127.0.0.1:0",
         Arc::clone(&manager),
         ServerConfig {
-            read_poll: Duration::from_millis(25),
             drain_timeout,
             ..ServerConfig::default()
         },
@@ -492,7 +491,6 @@ fn connection_hard_cap_rejects_with_overloaded_line() {
         Arc::clone(&manager),
         ServerConfig {
             accept_poll: Duration::from_millis(5),
-            read_poll: Duration::from_millis(25),
             max_connections: Some(1),
             accept_queue: 0,
             reject_retry_after_ms: 125,

@@ -99,17 +99,6 @@ pub fn write_records(name: &str, records: &[Record]) {
     }
 }
 
-/// Writes a perf-trajectory file `BENCH_<name>.json` at the workspace root
-/// so PR-over-PR regressions in the recorded metrics are visible to the
-/// repository's perf gate (best effort, like [`write_records`]).
-pub fn write_bench(name: &str, records: &[Record]) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = dir.join(format!("BENCH_{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(records) {
-        let _ = std::fs::write(path, json);
-    }
-}
-
 /// Formats nanoseconds as a human-readable time.
 pub fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {

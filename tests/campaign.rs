@@ -634,7 +634,9 @@ proptest! {
                 report
             }
             Err(CampaignError::Fatal(_)) => {
-                let journal = load_campaign_journal(dir.join("campaign.journal")).unwrap();
+                let journal = load_campaign_journal(dir.join("campaign.journal"))
+                    .unwrap()
+                    .expect("the killed run left a journal");
                 let completed: Vec<String> = journal
                     .entries
                     .iter()
@@ -730,7 +732,7 @@ fn a_torn_campaign_journal_tail_resumes_cleanly() {
     assert_eq!(resumed.to_json(), baseline_json);
     // The garbage was truncated before appending: the journal now loads
     // end to end.
-    let reloaded = load_campaign_journal(&journal).unwrap();
+    let reloaded = load_campaign_journal(&journal).unwrap().unwrap();
     assert_eq!(
         reloaded.intact_len,
         std::fs::metadata(&journal).unwrap().len()

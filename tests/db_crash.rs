@@ -1,9 +1,9 @@
-//! Crash-equivalence for the log-structured tuning database: a simulated
-//! kill at every byte boundary of the compaction sequence (tmp write →
-//! rename → log truncate) must load back bit-identical to the in-memory
-//! database, torn append tails lose at most the final partial record, and
-//! legacy whole-file JSON databases load and migrate transparently on
-//! their first compaction.
+//! Crash-equivalence for the tuning database: a simulated kill at every
+//! byte boundary of the compaction sequence (checkpoint staging → rename →
+//! log restart) must load back bit-identical to the in-memory database, a
+//! torn append tail loses at most the final partial record and never
+//! poisons later appends, and files in any older format are refused
+//! untouched.
 
 use atf_core::config::Config;
 use atf_core::db::{DatabaseLog, TuningDatabase};
@@ -57,6 +57,24 @@ fn sample_db(n: u64) -> TuningDatabase {
     db
 }
 
+/// The bytes of a database file holding `db`'s records in key order — what
+/// a log that stored them in that order, and equally a checkpoint of `db`,
+/// looks like on disk.
+fn file_bytes(db: &TuningDatabase) -> Vec<u8> {
+    static CALL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = CALL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = temp_path(&format!("bytes-{call}"));
+    cleanup(&path);
+    let (_, mut log) = DatabaseLog::open(&path).unwrap();
+    for record in db.records() {
+        log.append(record).unwrap();
+    }
+    drop(log);
+    let bytes = std::fs::read(&path).unwrap();
+    cleanup(&path);
+    bytes
+}
+
 /// Writes a directory state (live log, checkpoint, tmp — `None` = absent)
 /// and loads it back.
 fn load_state(
@@ -90,9 +108,9 @@ fn kill_at_every_byte_of_the_tmp_write_loses_nothing() {
     // On-disk precondition: an older checkpoint holding half the records,
     // a log holding all of them (superset — the monotone merge makes the
     // overlap idempotent).
-    let old_ckpt = sample_db(4).to_ndjson().into_bytes();
-    let log = db.to_ndjson().into_bytes();
-    let new_ckpt = db.to_ndjson().into_bytes();
+    let old_ckpt = file_bytes(&sample_db(4));
+    let log = file_bytes(&db);
+    let new_ckpt = file_bytes(&db);
     for cut in 0..=new_ckpt.len() {
         let loaded = load_state(&path, Some(&log), Some(&old_ckpt), Some(&new_ckpt[..cut]));
         assert_eq!(
@@ -105,21 +123,17 @@ fn kill_at_every_byte_of_the_tmp_write_loses_nothing() {
     cleanup(&path);
 }
 
-/// A kill between the checkpoint rename and the log truncate leaves the
-/// new checkpoint plus the (now redundant) full log: the double replay
+/// A kill between the checkpoint rename and the log restart leaves the
+/// new checkpoint plus the (now redundant) full log — or, mid-restart, any
+/// prefix of a log down to an empty or header-torn file: every such pair
 /// must merge to the identical database.
 #[test]
 fn kill_between_rename_and_truncate_merges_idempotently() {
     let path = temp_path("post-rename");
     let db = sample_db(8);
-    let log = db.to_ndjson().into_bytes();
-    let new_ckpt = db.to_ndjson().into_bytes();
-    // Full log + committed checkpoint (rename done, truncate not).
-    let loaded = load_state(&path, Some(&log), Some(&new_ckpt), None);
-    assert_eq!(loaded, db);
-    // And a partially truncated log (kill mid-truncate): any log prefix
-    // plus the committed checkpoint still loads the full database.
-    for cut in [0, 1, log.len() / 2, log.len() - 1] {
+    let log = file_bytes(&db);
+    let new_ckpt = file_bytes(&db);
+    for cut in 0..=log.len() {
         let loaded = load_state(&path, Some(&log[..cut]), Some(&new_ckpt), None);
         assert_eq!(loaded, db, "divergence with {cut} log bytes left");
     }
@@ -132,32 +146,76 @@ fn kill_between_rename_and_truncate_merges_idempotently() {
 fn torn_append_tail_loses_at_most_the_last_record() {
     let path = temp_path("torn-tail");
     let db = sample_db(6);
-    let log = db.to_ndjson();
-    let bytes = log.as_bytes();
+    let bytes = file_bytes(&db);
     for cut in 0..=bytes.len() {
-        let Ok(prefix) = std::str::from_utf8(&bytes[..cut]) else {
-            continue; // mid-UTF-8 cuts are covered by the byte loader path
-        };
-        let mut expected = TuningDatabase::new();
-        expected.merge_ndjson(prefix);
         let loaded = load_state(&path, Some(&bytes[..cut]), None, None);
+        // Record lines fully on disk at the cut (the first line is the
+        // header). A line missing only its newline is complete too.
+        let complete = bytes[..cut]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count()
+            .saturating_sub(1);
+        let unterminated = bytes.get(cut) == Some(&b'\n') && complete < db.len();
+        assert!(
+            loaded.len() == complete || (unterminated && loaded.len() == complete + 1),
+            "{} records from {complete} complete lines at {cut}/{} bytes",
+            loaded.len(),
+            bytes.len()
+        );
+        let mut expected = TuningDatabase::new();
+        for record in db.records().take(loaded.len()) {
+            expected.merge_record(record.clone());
+        }
         assert_eq!(
             loaded,
             expected,
             "divergence at {cut}/{} bytes",
             bytes.len()
         );
-        // Never more than one record lost relative to the lines fully on
-        // disk at the cut.
-        let complete_lines = prefix.matches('\n').count();
-        assert!(loaded.len() >= complete_lines.min(db.len()));
+    }
+    cleanup(&path);
+}
+
+/// What `atf-tune run` does to its database is one `open` + `append`. A
+/// kill at any byte of that write leaves every previous record loadable,
+/// and the next run's store lands on a clean line — it is neither glued
+/// onto the torn bytes nor lost on the reload after it.
+#[test]
+fn kill_at_every_byte_of_a_store_keeps_previous_and_later_records() {
+    let path = temp_path("run-store");
+    let before = sample_db(3);
+    let old = file_bytes(&before);
+    let new = file_bytes(&sample_db(4));
+    assert_eq!(&new[..old.len()], &old[..]);
+    let later = sample_db(5).record("kernel4", "devX", "w1").unwrap();
+    for cut in old.len()..new.len() {
+        cleanup(&path);
+        std::fs::write(&path, &new[..cut]).unwrap();
+        let (db, mut log) = DatabaseLog::open(&path).unwrap();
+        for record in before.records() {
+            assert_eq!(
+                db.lookup(&record.kernel, &record.device, &record.workload),
+                Some(record),
+                "cut {cut}"
+            );
+        }
+        log.append(&later).unwrap();
+        drop(log);
+        let reloaded = TuningDatabase::load(&path).unwrap();
+        assert_eq!(
+            reloaded.lookup("kernel4", "devX", "w1"),
+            Some(&later),
+            "cut {cut}"
+        );
+        assert!(reloaded.len() > before.len(), "cut {cut}");
     }
     cleanup(&path);
 }
 
 /// An actual compaction driven through `DatabaseLog` round-trips: after
-/// compacting, the live log is empty, the checkpoint is authoritative,
-/// and appends keep landing durably.
+/// compacting, the live log is just its header, the checkpoint is
+/// authoritative, and appends keep landing durably.
 #[test]
 fn real_compaction_is_bit_identical_and_keeps_appending() {
     let path = temp_path("real-compact");
@@ -170,7 +228,11 @@ fn real_compaction_is_bit_identical_and_keeps_appending() {
             .unwrap();
     }
     log.compact(&db).unwrap();
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+    let checkpoint = std::fs::read(ckpt_path(&path)).unwrap();
+    assert_eq!(checkpoint, file_bytes(&db));
+    let restarted = std::fs::read(&path).unwrap();
+    assert!(restarted.ends_with(b"\n") && checkpoint.starts_with(&restarted));
+    assert_eq!(restarted.iter().filter(|&&b| b == b'\n').count(), 1);
     let (reloaded, _h) = DatabaseLog::open(&path).unwrap();
     assert_eq!(reloaded, db);
 
@@ -185,45 +247,39 @@ fn real_compaction_is_bit_identical_and_keeps_appending() {
     cleanup(&path);
 }
 
-/// Old-format whole-file JSON databases still load — both through
-/// `TuningDatabase::load` and `DatabaseLog::open` — and the first
-/// compaction migrates them to log + checkpoint without changing a single
-/// record.
+/// The formats earlier builds wrote — the pretty-printed whole-file JSON
+/// database and the unframed record log (as the live file or as its
+/// checkpoint) — are refused with an "unsupported format" error, by both
+/// readers, and not a byte of them changes.
 #[test]
-fn legacy_json_loads_and_migrates_on_first_compaction() {
-    let path = temp_path("legacy");
-    cleanup(&path);
-    let legacy = sample_db(7);
-    legacy.save(&path).unwrap();
-
-    // Plain load of the legacy format is unchanged behavior.
-    assert_eq!(TuningDatabase::load(&path).unwrap(), legacy);
-
-    // The log handle loads it too and flags the pending migration.
-    let (db, mut log) = DatabaseLog::open(&path).unwrap();
-    assert_eq!(db, legacy);
-    assert!(log.should_compact(), "legacy file must request migration");
-    log.compact(&db).unwrap();
-
-    // Post-migration: live file is an empty log, checkpoint carries the
-    // records, and both readers agree bit-for-bit with the original.
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
-    assert_eq!(TuningDatabase::load(&path).unwrap(), legacy);
-    let (reloaded, _h) = DatabaseLog::open(&path).unwrap();
-    assert_eq!(reloaded, legacy);
-
-    // A kill mid-migration (tmp partially written, legacy file intact)
-    // still loads the legacy records untouched.
-    let legacy_bytes = std::fs::read(&path).ok(); // empty post-migration log
-    drop(legacy_bytes);
-    cleanup(&path);
-    legacy.save(&path).unwrap();
-    let ckpt = legacy.to_ndjson().into_bytes();
-    for cut in [0, 1, ckpt.len() / 2, ckpt.len() - 1] {
-        std::fs::write(tmp_path(&path), &ckpt[..cut]).unwrap();
-        assert_eq!(TuningDatabase::load(&path).unwrap(), legacy);
-        let (reloaded, _h) = DatabaseLog::open(&path).unwrap();
-        assert_eq!(reloaded, legacy, "divergence with {cut} tmp bytes");
+fn old_database_formats_are_refused_and_left_untouched() {
+    let path = temp_path("old-formats");
+    let record = serde_json::to_string(&sample_db(1).record("kernel0", "devX", "w0").unwrap());
+    let unframed_log = format!("{0}\n{0}\n", record.unwrap());
+    let pretty_json =
+        "{\n  \"records\": {\n    \"k\\u001fd\\u001fw\": {\n      \"kernel\": \"k\"\n    }\n  }\n}";
+    let valid = file_bytes(&sample_db(2));
+    let states: [(&[u8], Option<&[u8]>); 3] = [
+        (pretty_json.as_bytes(), None),
+        (unframed_log.as_bytes(), None),
+        (&valid, Some(unframed_log.as_bytes())),
+    ];
+    for (log, ckpt) in states {
+        cleanup(&path);
+        std::fs::write(&path, log).unwrap();
+        if let Some(ckpt) = ckpt {
+            std::fs::write(ckpt_path(&path), ckpt).unwrap();
+        }
+        for err in [
+            DatabaseLog::open(&path).map(|_| ()).unwrap_err(),
+            TuningDatabase::load(&path).map(|_| ()).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("unsupported format"), "{err}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), log);
+        if let Some(ckpt) = ckpt {
+            assert_eq!(std::fs::read(ckpt_path(&path)).unwrap(), ckpt);
+        }
     }
     cleanup(&path);
 }

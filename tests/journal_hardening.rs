@@ -1,10 +1,9 @@
 //! Journal storage hardening: checkpoint compaction must be observably
 //! invisible (checkpoint + tail replays bit-identically to the full
 //! journal), a kill at any point of the compaction sequence must still
-//! resume correctly, pre-checksum v1–v3 journals (and mixed-version files
-//! they become after a v4 writer appends to them) must keep loading, and a
-//! full disk must degrade the session to in-memory tuning instead of
-//! killing it.
+//! resume correctly, pre-checksum v1–v3 journals must be refused without
+//! being touched, and a full disk must degrade the session to in-memory
+//! tuning instead of killing it.
 
 use atf_core::abort;
 use atf_core::journal::{checkpoint_path, JournalHeader, LoadedJournal};
@@ -202,49 +201,29 @@ fn kill_before_checkpoint_rename_ignores_the_tmp_file() {
     cleanup(&path);
 }
 
-/// Rewrites a genuine journal into the pre-checksum on-disk format of an
-/// older version: v1 (no ticket, no elapsed, no header window), v2 (ticket
-/// and window, no elapsed), or v3 (everything, bare unchecksummed lines).
-fn strip_keys(value: &mut serde_json::Value, keys: &[&str]) {
-    if let serde_json::Value::Object(fields) = value {
-        fields.retain(|(k, _)| !keys.contains(&k.as_str()));
-    }
-}
-
+/// Rewrites a genuine journal the way a pre-checksum build wrote it: the
+/// older version number in the header, bare unchecksummed entry lines.
 fn downgrade_journal(from: &Path, to: &Path, version: u32) {
     let loaded = LoadedJournal::load(from).unwrap();
-    let mut out = String::new();
     let header = JournalHeader {
         version,
-        ..loaded.header.clone()
+        ..loaded.header
     };
-    let mut header_json = serde_json::to_value(&header);
-    if version < 2 {
-        strip_keys(&mut header_json, &["window"]);
-    }
-    out.push_str(&serde_json::to_string(&header_json).unwrap());
-    out.push('\n');
+    let mut out = serde_json::to_string(&header).unwrap() + "\n";
     for entry in &loaded.entries {
-        let mut line = serde_json::to_value(entry);
-        if version < 2 {
-            strip_keys(&mut line, &["ticket"]);
-        }
-        if version < 3 {
-            strip_keys(&mut line, &["elapsed_ms"]);
-        }
-        out.push_str(&serde_json::to_string(&line).unwrap());
+        out.push_str(&serde_json::to_string(entry).unwrap());
         out.push('\n');
     }
     std::fs::write(to, out).unwrap();
 }
 
-/// v1/v2/v3 journals (bare entry lines, no checksums) with a torn tail
-/// resume exactly like the v4 original; the resumed run then appends v4
-/// checksummed lines to the same file, and that mixed-version file still
-/// loads and resumes.
+/// v1/v2/v3 journals (bare entry lines, no checksums) are an unsupported
+/// format: a resume fails loudly instead of mistaking the whole file for a
+/// torn tail, and the file keeps every byte — with or without a torn last
+/// line, with or without a (necessarily foreign) checkpoint beside it.
 #[test]
-fn old_version_journals_with_torn_tails_resume_identically() {
-    let v4 = journal_path("mixed-v4");
+fn old_version_journals_are_refused_and_left_untouched() {
+    let v4 = journal_path("old-v4");
     cleanup(&v4);
     let mut session = journaled_session(&v4, None);
     let mut cf = objective();
@@ -255,59 +234,24 @@ fn old_version_journals_with_torn_tails_resume_identically() {
     }
     drop(session);
 
-    // Downgrade the 17-entry journal for every old version *before* the
-    // reference resume appends the rest of the run to the v4 file.
-    let old_paths: Vec<(u32, PathBuf)> = [1u32, 2, 3]
-        .into_iter()
-        .map(|version| {
-            let old = journal_path(&format!("mixed-v{version}"));
-            cleanup(&old);
-            downgrade_journal(&v4, &old, version);
-            (version, old)
-        })
-        .collect();
-
-    // The v4 reference resume, driven to completion.
-    let mut reference = fresh_session();
-    assert_eq!(reference.resume_from_journal(&v4).unwrap(), 17);
-    drive(&mut reference);
-    let reference = reference.finish().unwrap();
-
-    for (version, old) in old_paths {
-        // A crash tore the last line mid-write.
+    for version in [1u32, 2, 3] {
+        let old = journal_path(&format!("old-v{version}"));
+        cleanup(&old);
+        downgrade_journal(&v4, &old, version);
         let mut f = std::fs::OpenOptions::new().append(true).open(&old).unwrap();
         f.write_all(b"{\"evaluation\":99,\"point\":[3").unwrap();
         drop(f);
+        let before = std::fs::read(&old).unwrap();
 
-        let mut resumed = fresh_session();
-        let replayed = resumed
-            .resume_from_journal(&old)
-            .unwrap_or_else(|e| panic!("v{version} journal failed to resume: {e}"));
-        assert_eq!(
-            replayed, 17,
-            "v{version}: torn tail must cost zero intact entries"
-        );
-        drive(&mut resumed);
-        let resumed = resumed.finish().unwrap();
-        assert_eq!(resumed.best_config, reference.best_config, "v{version}");
-        assert_eq!(resumed.best_cost, reference.best_cost, "v{version}");
-        assert_eq!(resumed.evaluations, reference.evaluations, "v{version}");
-
-        // The file now starts with v1–v3 bare lines and ends with v4
-        // checksummed lines written by the resumed run: the mixed file
-        // must load whole and resume once more.
-        let mixed = LoadedJournal::load(&old).unwrap();
-        assert_eq!(
-            mixed.entries.len() as u64,
-            reference.evaluations,
-            "v{version}"
-        );
-        let mut again = fresh_session();
-        assert_eq!(
-            again.resume_from_journal(&old).unwrap(),
-            reference.evaluations,
-            "v{version}"
-        );
+        for with_checkpoint in [false, true] {
+            if with_checkpoint {
+                std::fs::copy(&v4, checkpoint_path(&old)).unwrap();
+            }
+            let mut resumed = fresh_session();
+            let err = resumed.resume_from_journal(&old).unwrap_err().to_string();
+            assert!(err.contains("unsupported format"), "v{version}: {err}");
+            assert_eq!(std::fs::read(&old).unwrap(), before, "v{version}");
+        }
         cleanup(&old);
     }
     cleanup(&v4);

@@ -6,6 +6,7 @@ use atf_core::expr::{cst, param};
 use atf_core::param::{tp, tp_c, Param, ParamGroup};
 use atf_core::prelude::*;
 use atf_core::space::cross_product_filter;
+use atf_core::wal::fnv1a64;
 use proptest::prelude::*;
 
 /// Strategy: a random small parameter group with chained constraints, where
@@ -235,13 +236,12 @@ fn xgemm_space_sample_against_kernel_validation() {
 /// names and values), with ~1 in 6 configurations "failing to measure" so
 /// failure accounting is exercised too.
 fn synthetic_cost(config: &Config) -> Option<f64> {
-    let mut h: u64 = 0xcbf29ce484222325;
+    let mut h = None;
     for (name, value) in config.iter() {
-        for b in name.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        h = (h ^ value.as_u64().unwrap_or(0)).wrapping_mul(0x100000001b3);
+        h = Some(fnv1a64(h, name.as_bytes()));
+        h = Some(fnv1a64(h, &value.as_u64().unwrap_or(0).to_le_bytes()));
     }
+    let h = h.unwrap_or(0);
     (!h.is_multiple_of(6)).then(|| 1.0 + (h % 10_000) as f64 / 7.0)
 }
 
@@ -338,7 +338,7 @@ proptest! {
         }
     }
 
-    /// A database round-trips unchanged through its JSON file format.
+    /// A database round-trips unchanged through its on-disk record log.
     #[test]
     fn db_round_trips_through_file(
         stores in prop::collection::vec((0u8..3, 0u8..2, 1u64..1000), 1..10),
@@ -351,15 +351,18 @@ proptest! {
             ("MODE", Value::Symbol("vec4".into())),
             ("PAD", Value::Bool(value % 2 == 0)),
         ]);
-        let mut db = TuningDatabase::new();
-        for &(k, d, c) in &stores {
-            db.store(kernels[k as usize], devices[d as usize], "w", &config, c as f64, c, 99);
-        }
-
         let case = DB_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let path = std::env::temp_dir()
             .join(format!("atf-prop-db-{}-{case}.json", std::process::id()));
-        db.save(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let (mut db, mut log) = DatabaseLog::open(&path).unwrap();
+        for &(k, d, c) in &stores {
+            let (kernel, device) = (kernels[k as usize], devices[d as usize]);
+            if db.store(kernel, device, "w", &config, c as f64, c, 99) {
+                log.append(&db.record(kernel, device, "w").unwrap()).unwrap();
+            }
+        }
+        drop(log);
         let loaded = TuningDatabase::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
 

@@ -231,7 +231,9 @@ fn tuning_database_round_trip_through_real_run() {
         .tune(&groups, &mut cf)
         .unwrap();
 
-    let mut db = TuningDatabase::new();
+    let path = std::env::temp_dir().join(format!("atf-int-db-{}.json", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let (mut db, mut log) = DatabaseLog::open(&path).unwrap();
     assert!(db.store(
         "saxpy",
         "Tesla K20m",
@@ -241,8 +243,8 @@ fn tuning_database_round_trip_through_real_run() {
         result.evaluations,
         result.space_size,
     ));
-    let path = std::env::temp_dir().join(format!("atf-int-db-{}.json", std::process::id()));
-    db.save(&path).unwrap();
+    let record = db.record("saxpy", "Tesla K20m", &format!("n{n}")).unwrap();
+    log.append(&record).unwrap();
     let loaded = TuningDatabase::load(&path).unwrap();
     let stored = loaded
         .lookup_config("saxpy", "Tesla K20m", &format!("n{n}"))
