@@ -8,7 +8,7 @@
 //! the result in a [`atf_core::db::TuningDatabase`].
 //!
 //! ```text
-//! atf-tune spec.json
+//! atf-tune run spec.json
 //! ```
 //!
 //! Example specification:
@@ -26,8 +26,7 @@
 //! }
 //! ```
 
-use atf_core::abort::Abort;
-use atf_core::param::{auto_group, Param};
+use atf_core::param::Param;
 use atf_core::prelude::*;
 use atf_core::process::{LexCosts, ProcessCostFunction};
 use atf_core::spec;
@@ -35,11 +34,6 @@ use serde::Deserialize;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
-
-// The declarative spec types live in `atf_core::spec` (shared with the
-// tuning service); re-exported here for backward compatibility.
-pub use atf_core::spec::{AbortSpec, IntervalSpec, ParameterSpec, SearchSpec, SpecError};
 
 pub mod campaign;
 
@@ -163,16 +157,13 @@ impl TuningSpec {
         spec::build_params(&self.parameters).map_err(CliError::from)
     }
 
-    fn build_abort(&self) -> Option<Abort> {
-        spec::build_abort(&self.abort)
-    }
-
     pub(crate) fn build_technique(&self) -> Result<Box<dyn SearchTechnique>, CliError> {
         spec::build_technique(&self.search).map_err(CliError::from)
     }
 
-    fn build_cost_function(&self) -> ProcessCostFunction {
-        let mut cf = ProcessCostFunction::new(&self.program.source, &self.program.run);
+    fn build_cost_function(&self, policy: &EvalPolicy) -> ProcessCostFunction {
+        let mut cf =
+            ProcessCostFunction::new(&self.program.source, &self.program.run).eval_policy(policy);
         if let Some(c) = &self.program.compile {
             cf = cf.compile_script(c);
         }
@@ -288,18 +279,11 @@ pub struct CliOutcome {
     pub space_cache_hit: Option<bool>,
 }
 
-/// Runs a tuning specification end to end with default (no-fault-handling)
-/// options.
-pub fn run(spec: &TuningSpec) -> Result<CliOutcome, CliError> {
-    run_with(spec, &RunOptions::default())
-}
-
 /// Runs a tuning specification end to end, guarded by `opts`: measurement
 /// timeouts and retries wrap the cost function, the circuit breaker arms
 /// the session, and the run journal (if any) records every evaluation
 /// before it is applied — so a killed run resumes exactly where it died.
 pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliError> {
-    let params = spec.build_params()?;
     let db_err = |e: std::io::Error| CliError::Database(e.to_string());
     // A database this build cannot read is refused now, not after hours of
     // tuning whose result could then not be stored.
@@ -314,50 +298,20 @@ pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliE
         })?),
         None => Arc::new(NullSink),
     };
-    // Group automatically: independent parameters explore in parallel-
-    // generated groups without the user thinking about it. With a space
-    // cache, probe it by the spec's content hash before generating; a miss
-    // generates (chunked across the leading parameter) and stores the
-    // result for the next run.
-    let groups = auto_group(params);
-    let gen_started = Instant::now();
-    let mut cache_hit = None;
-    let space = match &opts.space_cache {
-        Some(dir) => {
-            let cache = SpaceCache::new(dir)
-                .with_limits(None, opts.space_cache_max_mb.map(|mb| mb * 1024 * 1024));
-            let key = spec_key(&spec.parameters);
-            match cache.load(&key) {
-                Some(cached) => {
-                    trace.emit(&TraceEvent::space_cache(&key, true));
-                    cache_hit = Some(true);
-                    SearchSpace::from_group_spaces(cached)
-                }
-                None => {
-                    trace.emit(&TraceEvent::space_cache(&key, false));
-                    cache_hit = Some(false);
-                    let generated = atf_core::spacegen::generate_groups_chunked(
-                        &groups,
-                        atf_core::spacegen::default_threads(),
-                        trace.as_ref(),
-                    );
-                    if let Err(e) = cache.store(&key, &generated) {
-                        eprintln!("atf-tune: could not store space cache entry: {e}");
-                    }
-                    SearchSpace::from_group_spaces(generated)
-                }
-            }
-        }
-        None => SearchSpace::generate_parallel_traced(&groups, trace.as_ref()),
-    };
-    let space_gen = gen_started.elapsed();
+    let (space, space_build) = atf_core::spacegen::space_from_spec(
+        &spec.parameters,
+        opts.space_cache.as_deref(),
+        None,
+        opts.space_cache_max_mb.map(|mb| mb * 1024 * 1024),
+        trace.as_ref(),
+    )?;
     let policy = opts.policy();
     let workers = opts.workers.max(1);
     let space_len = space.len();
 
     let mut session =
         TuningSession::<LexCosts>::new(space, spec.build_technique()?).map_err(CliError::Tuning)?;
-    match (&opts.campaign, spec.build_abort()) {
+    match (&opts.campaign, spec::build_abort(&spec.abort)) {
         // A campaign node wraps its abort (the spec's, or the session
         // default of one full sweep) with the shared budget and cancel
         // checks — both evaluated at handout time, so the budget is
@@ -377,14 +331,7 @@ pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliE
         .strict_journal(opts.strict_journal)
         .journal_checkpoint_every(CLI_CHECKPOINT_EVERY);
     let metrics = Arc::clone(session.metrics());
-    metrics
-        .space_gen_micros
-        .add(u64::try_from(space_gen.as_micros()).unwrap_or(u64::MAX));
-    match cache_hit {
-        Some(true) => metrics.space_cache_hits.inc(),
-        Some(false) => metrics.space_cache_misses.inc(),
-        None => {}
-    }
+    space_build.record(&metrics);
     let mut resumed = 0;
     if let Some(path) = &opts.journal {
         if opts.resume && path.exists() {
@@ -404,45 +351,20 @@ pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliE
     // via `ATF_LOG_FILE`), and the retry jitter stream must not be shared.
     // Each carries the run's observability: script executions become `proc`
     // events, retries become `retry` events and counter increments.
-    let build_cf = |worker: usize| {
-        let mut process_cf = spec.build_cost_function().for_worker(worker);
-        if let Some(t) = opts.timeout {
-            process_cf = process_cf.timeout(t);
-        }
-        process_cf = process_cf.trace_to(Arc::clone(&trace));
-        with_policy_send_observed(
-            process_cf,
-            &policy,
-            RETRY_JITTER_SEED + worker as u64,
-            Arc::clone(&trace),
-            Arc::clone(&metrics),
-        )
-    };
-
-    if workers > 1 {
-        let cost_functions: Vec<_> = (0..workers).map(build_cf).collect();
-        atf_core::parallel::drive_session(&mut session, cost_functions);
-    } else {
-        // Serial drive gets the same worker telemetry as the pool, so the
-        // utilization metric and busy/idle events mean the same thing at
-        // every worker count.
-        metrics.set_workers(1);
-        let mut cf = build_cf(0);
-        while let Some(config) = session.next_config() {
-            let ticket = session.oldest_in_flight().unwrap_or_default();
-            trace.emit(&TraceEvent::worker_busy(0, ticket));
-            metrics.worker_busy();
-            let started = Instant::now();
-            let outcome = cf.evaluate(&config);
-            let busy = started.elapsed();
-            metrics.worker_idle(busy);
-            trace.emit(&TraceEvent::worker_idle(
-                0,
-                u64::try_from(busy.as_micros()).unwrap_or(u64::MAX),
-            ));
-            session.report(outcome).map_err(CliError::Tuning)?;
-        }
-    }
+    let cost_functions: Vec<_> = (0..workers)
+        .map(|worker| {
+            with_policy(
+                spec.build_cost_function(&policy)
+                    .for_worker(worker)
+                    .trace_to(Arc::clone(&trace)),
+                &policy,
+                RETRY_JITTER_SEED + worker as u64,
+                Arc::clone(&trace),
+                Arc::clone(&metrics),
+            )
+        })
+        .collect();
+    atf_core::parallel::drive_session(&mut session, cost_functions).map_err(CliError::Tuning)?;
     let failures = session.status().failure_counts();
     let journal_degraded = session.journal_degraded().map(String::from);
     let result = session.finish().map_err(CliError::Tuning)?;
@@ -476,8 +398,8 @@ pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliE
         resumed,
         metrics: snapshot,
         journal_degraded,
-        space_gen_ms: space_gen.as_millis() as u64,
-        space_cache_hit: cache_hit,
+        space_gen_ms: space_build.elapsed.as_millis() as u64,
+        space_cache_hit: space_build.cache_hit,
     })
 }
 
@@ -521,17 +443,6 @@ fn wire_to_config(wire: &atf_service::client::WireConfig) -> Config {
     Config::from_pairs(wire.iter().map(|(n, v)| (n.as_str(), Value::UInt(*v))))
 }
 
-/// Drives a remote tuning session end to end over any service transport:
-/// opens a session from the specification, measures each configuration the
-/// service hands out with the spec's program, and returns the service's
-/// final result.
-pub fn run_remote<T: atf_service::Transport>(
-    spec: &TuningSpec,
-    client: &mut atf_service::Client<T>,
-) -> Result<atf_service::Response, CliError> {
-    run_remote_with(spec, client, &RunOptions::default())
-}
-
 /// Whether a client error means the service forgot the session (it expired
 /// or the service restarted) — the case a remote run can transparently
 /// recover from by re-opening with `resume`.
@@ -540,11 +451,14 @@ fn is_unknown_session(e: &atf_service::ClientError) -> bool {
              if code == atf_service::proto::codes::UNKNOWN_SESSION)
 }
 
-/// [`run_remote`] guarded by fault-tolerance options: the local
-/// measurements get the policy's timeout and transient-retry loop, failures
-/// are reported to the service with their taxonomy class, and `resume` /
-/// `breaker` ride along on `open` (the service owns the journal and the
-/// circuit breaker; `opts.journal` is ignored here).
+/// Drives a remote tuning session end to end over any service transport:
+/// opens a session from the specification, measures each configuration the
+/// service hands out with the spec's program, and returns the service's
+/// final result. `opts` guards it: the local measurements get the policy's
+/// timeout and transient-retry loop, failures are reported to the service
+/// with their taxonomy class, and `resume` / `breaker` ride along on `open`
+/// (the service owns the journal and the circuit breaker; `opts.journal`
+/// is ignored here).
 ///
 /// When the service forgets the session mid-run (idle expiry, a service
 /// restart), the run transparently re-attaches: it re-opens the same key
@@ -558,11 +472,14 @@ pub fn run_remote_with<T: atf_service::Transport>(
     let mut session = session_spec(spec);
     session.resume = opts.resume;
     session.breaker = opts.breaker;
-    let mut process_cf = spec.build_cost_function();
-    if let Some(t) = opts.timeout {
-        process_cf = process_cf.timeout(t);
-    }
-    let mut cf = with_policy(process_cf, &opts.policy(), RETRY_JITTER_SEED);
+    let policy = opts.policy();
+    let mut cf = with_policy(
+        spec.build_cost_function(&policy),
+        &policy,
+        RETRY_JITTER_SEED,
+        Arc::new(NullSink),
+        Arc::new(MetricsRegistry::new()),
+    );
     // Shedding that survives the transport's retry_after_ms-aware retry
     // loop is a capacity verdict, not a failure — keep it distinguishable.
     let service = |e: atf_service::ClientError| match e {
@@ -831,7 +748,7 @@ mod tests {
         ))
         .unwrap();
 
-        let outcome = run(&spec).unwrap();
+        let outcome = run_with(&spec, &RunOptions::default()).unwrap();
         // Optimum: BLOCK=24, UNROLL=1 → cost 11.
         assert_eq!(outcome.result.best_config.get_u64("BLOCK"), 24);
         assert_eq!(outcome.result.best_config.get_u64("UNROLL"), 1);
@@ -937,11 +854,11 @@ mod tests {
         ))
         .unwrap();
 
-        let local = run(&spec).unwrap();
+        let local = run_with(&spec, &RunOptions::default()).unwrap();
 
         let manager = Arc::new(atf_service::SessionManager::in_memory());
         let mut client = atf_service::Client::loopback(Arc::clone(&manager));
-        let remote = run_remote(&spec, &mut client).unwrap();
+        let remote = run_remote_with(&spec, &mut client, &RunOptions::default()).unwrap();
 
         // The remote session explores the same space with the same
         // technique, so the results agree exactly.
@@ -961,6 +878,93 @@ mod tests {
         let text = report_remote(&remote);
         assert!(text.contains("best config"));
         assert!(text.contains("BLOCK=20"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `atf-tune run` and the service's `open` share one spec → space step:
+    /// a space either of them stored is a cache hit for the other, and both
+    /// stream the step's `space_cache` / `space_gen` events to their sink.
+    #[cfg(unix)]
+    #[test]
+    fn run_and_service_open_share_the_space_cache() {
+        let dir = fresh_dir("shared-cache");
+        let source = dir.join("prog.sh");
+        write_executable(&source, "echo $ATF_TP_X > \"$ATF_LOG_FILE\"");
+        let run_sh = dir.join("run.sh");
+        write_executable(&run_sh, "sh \"$ATF_SOURCE\"");
+        let spec_for = |divisor_of: u64| {
+            TuningSpec::from_json(&format!(
+                r#"{{
+                  "program": {{"source": "{}", "run": "{}", "log_file": "{}"}},
+                  "parameters": [{{"name": "X", "interval": {{"begin": 1, "end": {divisor_of}}},
+                                   "constraint": "divides({divisor_of})"}}],
+                  "search": {{"technique": "exhaustive"}},
+                  "kernel_name": "shared-cache-{divisor_of}"
+                }}"#,
+                source.display(),
+                run_sh.display(),
+                dir.join("cost.log").display()
+            ))
+            .unwrap()
+        };
+        let cache_dir = dir.join("space-cache");
+        let kinds = |events: &[TraceEvent]| -> Vec<String> {
+            let mut kinds: Vec<_> = events
+                .iter()
+                .filter(|e| e.event.starts_with("space_"))
+                .map(|e| e.event.clone())
+                .collect();
+            kinds.dedup();
+            kinds
+        };
+        let run_local = |spec: &TuningSpec, tag: &str| {
+            let trace_path = dir.join(format!("{tag}.ndjson"));
+            let outcome = run_with(
+                spec,
+                &RunOptions {
+                    space_cache: Some(cache_dir.clone()),
+                    trace: Some(trace_path.clone()),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let events: Vec<TraceEvent> = std::fs::read_to_string(&trace_path)
+                .unwrap()
+                .lines()
+                .map(|l| serde_json::from_str(l).unwrap())
+                .collect();
+            (outcome.space_cache_hit, kinds(&events))
+        };
+        let open_remote = |spec: &TuningSpec| {
+            let sink = Arc::new(MemorySink::new());
+            let manager = Arc::new(
+                atf_service::SessionManager::new(atf_service::ManagerConfig {
+                    space_cache: Some(cache_dir.clone()),
+                    ..Default::default()
+                })
+                .unwrap()
+                .with_trace(sink.clone()),
+            );
+            let mut client = atf_service::Client::loopback(manager);
+            let id = client.open(&session_spec(spec)).unwrap();
+            let stats = client.stats(&id).unwrap();
+            (
+                (stats.space_cache_hits, stats.space_cache_misses),
+                kinds(&sink.take()),
+            )
+        };
+        let miss = ["space_cache", "space_gen"].map(String::from).to_vec();
+        let hit = vec!["space_cache".to_string()];
+
+        // Stored by `run`, hit by the service.
+        assert_eq!(
+            run_local(&spec_for(24), "run-first"),
+            (Some(false), miss.clone())
+        );
+        assert_eq!(open_remote(&spec_for(24)), ((1, 0), hit.clone()));
+        // Stored by the service, hit by `run`.
+        assert_eq!(open_remote(&spec_for(36)), ((0, 1), miss));
+        assert_eq!(run_local(&spec_for(36), "run-second"), (Some(true), hit));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -985,7 +989,7 @@ mod tests {
             log.display()
         ))
         .unwrap();
-        let outcome = run(&spec).unwrap();
+        let outcome = run_with(&spec, &RunOptions::default()).unwrap();
         assert_eq!(outcome.result.evaluations, 7); // evaluations fired first
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -221,10 +221,8 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         Some("campaign") => cmd_campaign(&args[1..]),
-        // Backward compatibility: `atf-tune <spec.json>` still tunes.
-        Some(path) if !path.starts_with('-') => cmd_run(&args),
-        Some(flag) => {
-            eprintln!("atf-tune: unknown option `{flag}`");
+        Some(other) => {
+            eprintln!("atf-tune: unknown command or option `{other}`");
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }

@@ -50,8 +50,10 @@ fn help_exits_zero() {
 
 #[test]
 fn bad_inputs_are_usage_errors() {
-    // Unknown flag, missing spec, unreadable spec, bad flag value.
+    // Unknown flag, a bare path (not a command), missing spec, unreadable
+    // spec, bad flag value.
     assert_eq!(exit_code(&run_with(&["--wat"])), 2);
+    assert_eq!(exit_code(&run_with(&["spec.json"])), 2);
     assert_eq!(exit_code(&run_with(&["run"])), 2);
     assert_eq!(exit_code(&run_with(&["run", "/nonexistent/spec.json"])), 2);
     assert_eq!(exit_code(&run_with(&["serve", "--idle-secs", "soon"])), 2);
@@ -108,6 +110,55 @@ fn tuning_failure_exits_one() {
     let out = run_with(&["run", spec_path.to_str().unwrap()]);
     assert_eq!(exit_code(&out), 1);
     assert!(String::from_utf8_lossy(&out.stderr).contains("tuning failed"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--strict-journal` makes a journal write failure exit 1 with the journal
+/// error at every `--workers` value. The failure is real: a directory sits
+/// where the 64-entry checkpoint compaction stages its `.tmp` file.
+#[cfg(unix)]
+#[test]
+fn strict_journal_failure_exits_one_at_any_worker_count() {
+    let dir = std::env::temp_dir().join(format!("atf-cli-bin-strict-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let source = dir.join("prog.sh");
+    write_executable(&source, "echo $ATF_TP_X > \"$ATF_LOG_FILE\"");
+    let run_sh = dir.join("run.sh");
+    write_executable(&run_sh, "sh \"$ATF_SOURCE\"");
+    let spec_path = dir.join("spec.json");
+    std::fs::write(
+        &spec_path,
+        format!(
+            r#"{{
+              "program": {{"source": "{}", "run": "{}", "log_file": "{}"}},
+              "parameters": [{{"name": "X", "interval": {{"begin": 1, "end": 80}}}}],
+              "search": {{"technique": "exhaustive"}}
+            }}"#,
+            source.display(),
+            run_sh.display(),
+            dir.join("cost.log").display()
+        ),
+    )
+    .unwrap();
+    for workers in ["1", "2"] {
+        let journal = dir.join(format!("j{workers}.ndjson"));
+        std::fs::create_dir_all(format!("{}.ckpt.tmp", journal.display())).unwrap();
+        let out = run_with(&[
+            "run",
+            "--strict-journal",
+            "--workers",
+            workers,
+            "--journal",
+            journal.to_str().unwrap(),
+            spec_path.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(exit_code(&out), 1, "--workers {workers}: {stderr}");
+        assert!(
+            stderr.contains("run journal error"),
+            "--workers {workers}: {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

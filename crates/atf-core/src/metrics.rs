@@ -781,6 +781,8 @@ mod tests {
         m.set_workers(2);
         m.worker_busy();
         m.worker_idle(Duration::from_millis(5));
+        // A snapshot within the registry's first microsecond reports 0 %.
+        std::thread::sleep(Duration::from_millis(1));
         let s = m.snapshot();
         assert_eq!(s.window.capacity, 4);
         assert_eq!(s.window.occupancy, 1);

@@ -178,40 +178,12 @@ impl<F: CostFunction> CostFunction for RetryCostFunction<F> {
     }
 }
 
-/// Convenience: wraps a cost function when the policy actually retries,
-/// returns it untouched otherwise (no behavioural change for
-/// `max_retries == 0` — the wrapper would be pass-through anyway, this
-/// just documents it).
-pub fn with_policy<C: CostValue, F: CostFunction<Cost = C> + 'static>(
-    inner: F,
-    policy: &EvalPolicy,
-    seed: u64,
-) -> Box<dyn CostFunction<Cost = C>> {
-    if policy.max_retries == 0 {
-        Box::new(inner)
-    } else {
-        Box::new(RetryCostFunction::new(inner, policy.clone(), seed))
-    }
-}
-
-/// [`with_policy`] with a `Send` box, for handing the wrapped function to
-/// worker threads ([`crate::parallel::drive_session`]).
-pub fn with_policy_send<C: CostValue, F: CostFunction<Cost = C> + Send + 'static>(
-    inner: F,
-    policy: &EvalPolicy,
-    seed: u64,
-) -> Box<dyn CostFunction<Cost = C> + Send> {
-    if policy.max_retries == 0 {
-        Box::new(inner)
-    } else {
-        Box::new(RetryCostFunction::new(inner, policy.clone(), seed))
-    }
-}
-
-/// [`with_policy_send`] with observability attached: retries are emitted
-/// to `trace` and counted in `metrics` (both unused when the policy does
-/// not retry).
-pub fn with_policy_send_observed<C: CostValue, F: CostFunction<Cost = C> + Send + 'static>(
+/// Wraps a cost function in the policy's retry loop — retries emitted to
+/// `trace` and counted in `metrics` — when the policy actually retries, and
+/// returns it untouched otherwise (the wrapper would be pass-through
+/// anyway). The box is `Send` so it can be handed to a worker of
+/// [`crate::parallel::drive_session`].
+pub fn with_policy<C: CostValue, F: CostFunction<Cost = C> + Send + 'static>(
     inner: F,
     policy: &EvalPolicy,
     seed: u64,

@@ -237,14 +237,6 @@ impl<C: CostValue> TuningSession<C> {
         Arc::clone(&self.trace)
     }
 
-    /// Shares an externally created metrics registry (builder-style), e.g.
-    /// one registry aggregating several sessions.
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        metrics.set_window_capacity(self.max_pending);
-        self.metrics = metrics;
-        self
-    }
-
     /// The session's metrics registry. Always present; clone the `Arc` to
     /// read a [`crate::metrics::MetricsSnapshot`] from another thread.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
@@ -631,12 +623,6 @@ impl<C: CostValue> TuningSession<C> {
             .map(|p| &p.config)
     }
 
-    /// The oldest unreported configuration, if any (serial convenience).
-    pub fn pending_config(&self) -> Option<&Config> {
-        let t = self.oldest_in_flight()?;
-        self.pending_config_for(t)
-    }
-
     /// Live progress bookkeeping (evaluations, improvements, elapsed).
     /// Counts *applied* reports; reported-but-buffered tickets are not yet
     /// included.
@@ -883,21 +869,7 @@ impl<C: CostValue> TuningSession<C> {
     ///
     /// Fails with [`TuningError::NoValidConfiguration`] when nothing was
     /// measured successfully.
-    pub fn finish(self) -> Result<TuningResult<C>, TuningError> {
-        self.finish_parts().0
-    }
-
-    /// Like [`finish`](Self::finish), but also hands back the technique and
-    /// abort condition so a reusable driver (the [`crate::tuner::Tuner`])
-    /// can restore them for the next run.
-    #[allow(clippy::type_complexity)]
-    pub fn finish_parts(
-        mut self,
-    ) -> (
-        Result<TuningResult<C>, TuningError>,
-        Box<dyn SearchTechnique>,
-        Abort,
-    ) {
+    pub fn finish(mut self) -> Result<TuningResult<C>, TuningError> {
         // Apply the maximal contiguous prefix of buffered reports; tickets
         // behind an unreported gap were never measured and are dropped.
         self.drain_ready();
@@ -907,16 +879,12 @@ impl<C: CostValue> TuningSession<C> {
         }
         self.trace.flush();
         if let Some(last_failure) = self.broken {
-            return (
-                Err(TuningError::CircuitBroken {
-                    consecutive_failures: self.status.consecutive_failures(),
-                    last_failure,
-                }),
-                self.technique,
-                self.abort,
-            );
+            return Err(TuningError::CircuitBroken {
+                consecutive_failures: self.status.consecutive_failures(),
+                last_failure,
+            });
         }
-        let result = match self.best {
+        match self.best {
             Some((best_config, best_cost)) => Ok(TuningResult {
                 best_config,
                 best_cost,
@@ -931,8 +899,7 @@ impl<C: CostValue> TuningSession<C> {
             None => Err(TuningError::NoValidConfiguration {
                 evaluations: self.status.evaluations(),
             }),
-        };
-        (result, self.technique, self.abort)
+        }
     }
 }
 

@@ -28,12 +28,11 @@
 use crate::config::Config;
 use crate::param::ParamGroup;
 use crate::spacegen::{self, GroupPlan, LazyGroup, LazySpace};
-use crate::trace::{NullSink, TraceEvent, TraceSink};
+use crate::trace::NullSink;
 use crate::value::Value;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Errors during search-space generation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -217,19 +216,6 @@ fn dfs(
     }
 }
 
-/// Generates one group's sub-space, emitting its timed `space_gen` event.
-fn timed_group_generate(index: usize, group: &ParamGroup, trace: &dyn TraceSink) -> GroupSpace {
-    let started = Instant::now();
-    let gs = GroupSpace::generate(group);
-    trace.emit(&TraceEvent::space_gen(
-        index,
-        group.len(),
-        gs.len(),
-        u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-    ));
-    gs
-}
-
 /// One group's backing store inside a [`SearchSpace`]: fully materialized
 /// configs, or a lazy streaming view with bounded memory.
 #[derive(Clone, Debug)]
@@ -264,19 +250,7 @@ pub struct SearchSpace {
 impl SearchSpace {
     /// Generates the search space sequentially.
     pub fn generate(groups: &[ParamGroup]) -> Self {
-        Self::generate_traced(groups, &NullSink)
-    }
-
-    /// [`generate`](Self::generate) with telemetry: one `space_gen` trace
-    /// event per parameter group, carrying the group's index, parameter
-    /// count, valid-configuration count, and generation time.
-    pub fn generate_traced(groups: &[ParamGroup], trace: &dyn TraceSink) -> Self {
-        let gs: Vec<_> = groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| timed_group_generate(i, g, trace))
-            .collect();
-        Self::from_group_spaces(gs)
+        Self::from_group_spaces(groups.iter().map(GroupSpace::generate).collect())
     }
 
     /// Generates the search space in parallel by chunking each group's
@@ -284,18 +258,7 @@ impl SearchSpace {
     /// ([`crate::spacegen::generate_groups_chunked`]). Output is
     /// bit-identical to [`Self::generate`] at any thread count.
     pub fn generate_parallel(groups: &[ParamGroup]) -> Self {
-        Self::generate_parallel_traced(groups, &NullSink)
-    }
-
-    /// [`generate_parallel`](Self::generate_parallel) with telemetry: one
-    /// `space_chunk` event per chunk (completion order) and one
-    /// `space_gen` event per group.
-    pub fn generate_parallel_traced(groups: &[ParamGroup], trace: &dyn TraceSink) -> Self {
-        Self::from_group_spaces(spacegen::generate_groups_chunked(
-            groups,
-            spacegen::default_threads(),
-            trace,
-        ))
+        spacegen::space_from_groups(groups, None, &NullSink).0
     }
 
     /// Generates with a per-group limit on materialized configurations.

@@ -25,14 +25,21 @@
 //!   by a content hash of the canonicalized parameter spec and persisted
 //!   next to the tuning database, so a service restart re-opens sessions
 //!   without regenerating identical spaces.
+//!
+//! [`space_from_spec`] is the one entry point that strings them together
+//! for a parameter spec — probe the cache, else generate chunked and
+//! store — shared by `atf-tune run` and the service's `open`.
 
 mod cache;
 mod chunked;
 mod compile;
+mod from_spec;
 mod lazy;
 
 pub use cache::{spec_key, SpaceCache};
 pub use chunked::{default_threads, generate_group_chunked, generate_groups_chunked};
+pub use from_spec::{space_from_spec, SpaceBuild};
 pub use lazy::{LazyGroup, LazySpace, DEFAULT_BLOCK_SIZE};
 
 pub(crate) use compile::GroupPlan;
+pub(crate) use from_spec::space_from_groups;

@@ -159,7 +159,6 @@ pub struct TuningResult<C: CostValue> {
 pub struct Tuner {
     technique: Box<dyn SearchTechnique>,
     abort: Option<Abort>,
-    parallel_generation: bool,
     record_history: bool,
 }
 
@@ -170,7 +169,6 @@ impl Tuner {
         Tuner {
             technique: Box::new(crate::search::Exhaustive::new()),
             abort: None,
-            parallel_generation: false,
             record_history: false,
         }
     }
@@ -187,13 +185,6 @@ impl Tuner {
         self
     }
 
-    /// Generates the search space in parallel, one thread per parameter
-    /// group (Section V of the paper).
-    pub fn parallel_generation(mut self, on: bool) -> Self {
-        self.parallel_generation = on;
-        self
-    }
-
     /// Records every evaluation in [`TuningResult::history`] (for
     /// convergence plots; off by default).
     pub fn record_history(mut self, on: bool) -> Self {
@@ -203,140 +194,39 @@ impl Tuner {
 
     /// Generates the valid space for `groups` and explores it.
     pub fn tune<CF: CostFunction>(
-        mut self,
+        self,
         groups: &[ParamGroup],
         cost_function: &mut CF,
     ) -> Result<TuningResult<CF::Cost>, TuningError> {
-        let space = if self.parallel_generation {
-            SearchSpace::generate_parallel(groups)
-        } else {
-            SearchSpace::generate(groups)
-        };
-        self.tune_space(&space, cost_function)
-    }
-
-    /// Tunes ungrouped parameters, detecting independent groups
-    /// automatically from constraint references
-    /// ([`crate::param::auto_group`]) — an extension beyond the paper,
-    /// which requires explicit grouping.
-    pub fn tune_auto<CF: CostFunction>(
-        self,
-        params: Vec<crate::param::Param>,
-        cost_function: &mut CF,
-    ) -> Result<TuningResult<CF::Cost>, TuningError> {
-        let groups = crate::param::auto_group(params);
-        self.tune(&groups, cost_function)
+        self.explore(SearchSpace::generate(groups), cost_function)
     }
 
     /// Explores an already-generated search space.
-    ///
-    /// This is a thin in-process loop over a
-    /// [`TuningSession`](crate::session::TuningSession): open the session,
-    /// measure each handed-out configuration with `cost_function`, report
-    /// the outcome, finish. Driving a session step by step yields the
-    /// identical result.
     pub fn tune_space<CF: CostFunction>(
-        &mut self,
+        self,
         space: &SearchSpace,
         cost_function: &mut CF,
     ) -> Result<TuningResult<CF::Cost>, TuningError> {
-        if space.is_empty() {
-            return Err(TuningError::EmptySearchSpace);
-        }
-        // Placeholder while the session owns the real technique; restored
-        // from `finish_parts` below.
-        let technique = std::mem::replace(
-            &mut self.technique,
-            Box::new(crate::search::Exhaustive::new()),
-        );
-        let mut session = TuningSession::<CF::Cost>::new(space.clone(), technique)?;
-        let restore_abort = self.abort.is_some();
-        if let Some(a) = self.abort.take() {
-            session = session.abort_condition(a);
-        }
-        session = session.record_history(self.record_history);
-
-        while let Some(config) = session.next_config() {
-            let outcome = cost_function.evaluate(&config);
-            session
-                .report(outcome)
-                .expect("a configuration is pending by construction");
-        }
-
-        let (result, technique, abort) = session.finish_parts();
-        self.technique = technique;
-        if restore_abort {
-            self.abort = Some(abort);
-        }
-        result
+        self.explore(space.clone(), cost_function)
     }
 
-    /// Generates the valid space for `groups` and explores it with
-    /// `workers` evaluation threads.
-    ///
-    /// `make_cost_function` builds one private cost-function instance per
-    /// worker (called with the worker index 0..workers) — evaluation takes
-    /// `&mut self`, and a process-spawning cost function holds per-run
-    /// scratch state that must not be shared.
-    ///
-    /// The session hands out up to `workers` simultaneously pending
-    /// configurations and applies reports in ticket order, so for a seeded
-    /// technique the search trajectory is reproducible across runs and
-    /// `tune_parallel` with `workers == 1` equals [`tune`](Self::tune)
-    /// exactly (see the [`crate::session`] module docs).
-    pub fn tune_parallel<CF>(
-        mut self,
-        groups: &[ParamGroup],
-        make_cost_function: impl FnMut(usize) -> CF,
-        workers: usize,
-    ) -> Result<TuningResult<CF::Cost>, TuningError>
-    where
-        CF: CostFunction + Send,
-    {
-        let space = if self.parallel_generation {
-            SearchSpace::generate_parallel(groups)
-        } else {
-            SearchSpace::generate(groups)
-        };
-        self.tune_space_parallel(&space, make_cost_function, workers)
-    }
-
-    /// Explores an already-generated search space with `workers` evaluation
-    /// threads (see [`tune_parallel`](Self::tune_parallel)).
-    pub fn tune_space_parallel<CF>(
-        &mut self,
-        space: &SearchSpace,
-        mut make_cost_function: impl FnMut(usize) -> CF,
-        workers: usize,
-    ) -> Result<TuningResult<CF::Cost>, TuningError>
-    where
-        CF: CostFunction + Send,
-    {
-        if space.is_empty() {
-            return Err(TuningError::EmptySearchSpace);
-        }
-        let workers = workers.max(1);
-        let technique = std::mem::replace(
-            &mut self.technique,
-            Box::new(crate::search::Exhaustive::new()),
-        );
-        let mut session = TuningSession::<CF::Cost>::new(space.clone(), technique)?
-            .max_pending(workers)
+    /// Opens a [`TuningSession`] over `space` and drives it with the one
+    /// session loop ([`crate::parallel`]); `cost_function` is its worker 0
+    /// and stays on this thread. Driving a session step by step yields the
+    /// identical result.
+    fn explore<CF: CostFunction>(
+        self,
+        space: SearchSpace,
+        cost_function: &mut CF,
+    ) -> Result<TuningResult<CF::Cost>, TuningError> {
+        let mut session = TuningSession::<CF::Cost>::new(space, self.technique)?
             .record_history(self.record_history);
-        let restore_abort = self.abort.is_some();
-        if let Some(a) = self.abort.take() {
+        if let Some(a) = self.abort {
             session = session.abort_condition(a);
         }
-
-        let cost_functions: Vec<CF> = (0..workers).map(&mut make_cost_function).collect();
-        crate::parallel::drive_session(&mut session, cost_functions);
-
-        let (result, technique, abort) = session.finish_parts();
-        self.technique = technique;
-        if restore_abort {
-            self.abort = Some(abort);
-        }
-        result
+        type NoneSpawned<C> = Vec<Box<dyn CostFunction<Cost = C> + Send>>;
+        crate::parallel::drive(&mut session, cost_function, NoneSpawned::new())?;
+        session.finish()
     }
 }
 
@@ -532,8 +422,7 @@ mod tests {
         let mut cf = cost_fn(|c: &Config| (c.get_u64("A") * 8 + c.get_u64("B")) as f64);
         let r = Tuner::new()
             .technique(Exhaustive::new())
-            .parallel_generation(true)
-            .tune(&[g1, g2], &mut cf)
+            .tune_space(&SearchSpace::generate_parallel(&[g1, g2]), &mut cf)
             .unwrap();
         assert_eq!(r.best_config.get_u64("A"), 1);
         assert_eq!(r.best_config.get_u64("B"), 1);

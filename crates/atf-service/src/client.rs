@@ -573,33 +573,17 @@ impl<T: Transport> Client<T> {
         }
     }
 
-    /// Runs a whole tuning session: opens, drives next/report with the
-    /// given cost function (`None` = measurement failed), finishes, and
-    /// returns the final result response.
+    /// Runs a whole tuning session: opens (honouring the spec's `resume` and
+    /// `breaker` fields), drives next/report with the given cost function —
+    /// `Err(kind)` reports a failed measurement with its taxonomy class —
+    /// finishes, and returns the final result response. A tripped breaker
+    /// surfaces as [`ClientError::Remote`] from the final `finish`.
     pub fn tune(
-        &mut self,
-        spec: &SessionSpec,
-        mut cost: impl FnMut(&WireConfig) -> Option<f64>,
-    ) -> Result<Response, ClientError> {
-        let session = self.open(spec)?;
-        while let Some(config) = self.next(&session)? {
-            let measured = cost(&config);
-            self.report(&session, measured)?;
-        }
-        self.finish(&session)
-    }
-
-    /// Like [`tune`](Self::tune), but the cost closure classifies its
-    /// failures: `Err(kind)` reports the taxonomy class to the service
-    /// instead of a bare invalid measurement. Honours the spec's `resume`
-    /// and `breaker` fields; a tripped breaker surfaces as
-    /// [`ClientError::Remote`] from the final `finish`.
-    pub fn tune_classified(
         &mut self,
         spec: &SessionSpec,
         mut cost: impl FnMut(&WireConfig) -> Result<f64, atf_core::cost::FailureKind>,
     ) -> Result<Response, ClientError> {
-        let (session, _replayed) = self.open_resumable(spec)?;
+        let session = self.open(spec)?;
         while let Some(config) = self.next(&session)? {
             match cost(&config) {
                 Ok(measured) => self.report(&session, Some(measured))?,
@@ -641,7 +625,7 @@ mod tests {
         client.ping().unwrap();
 
         let result = client
-            .tune(&toy_spec("toy"), |cfg| Some((cfg["X"] as f64 - 11.0).abs()))
+            .tune(&toy_spec("toy"), |cfg| Ok((cfg["X"] as f64 - 11.0).abs()))
             .unwrap();
         assert_eq!(result.best_config.as_ref().unwrap()["X"], 11);
         assert_eq!(result.best_cost, Some(0.0));
@@ -764,7 +748,11 @@ mod tests {
         let result = client
             .tune(&toy_spec("half"), |cfg| {
                 let x = cfg["X"];
-                (x % 2 == 0).then(|| (x as f64 - 9.0).abs())
+                if x % 2 == 0 {
+                    Ok((x as f64 - 9.0).abs())
+                } else {
+                    Err(atf_core::cost::FailureKind::RunCrash)
+                }
             })
             .unwrap();
         assert_eq!(result.best_config.as_ref().unwrap()["X"], 8);

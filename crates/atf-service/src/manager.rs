@@ -11,9 +11,7 @@ use crate::proto::{codes, config_to_wire, Request, Response};
 use atf_core::cost::{CostError, FailureKind};
 use atf_core::db::{DatabaseLog, TuningDatabase};
 use atf_core::metrics::MetricsRegistry;
-use atf_core::param::auto_group;
 use atf_core::session::{Handout, TuningSession};
-use atf_core::space::SearchSpace;
 use atf_core::spec;
 use atf_core::status::TuningStatus;
 use atf_core::trace::{NullSink, TraceEvent, TraceSink};
@@ -255,7 +253,7 @@ pub struct SessionManager {
     /// with the TCP server so its connection gauges land in the same
     /// snapshot, and served by a session-less `stats` request.
     metrics: Arc<MetricsRegistry>,
-    /// Sink for `admission`/`shed`/`drain` trace events.
+    /// Sink for `admission`/`shed`/`drain` and space-generation events.
     trace: Arc<dyn TraceSink>,
 }
 
@@ -314,7 +312,8 @@ impl SessionManager {
         Self::new(ManagerConfig::default()).expect("in-memory manager cannot fail")
     }
 
-    /// Routes `admission`/`shed`/`drain` trace events to `sink`
+    /// Routes `admission`/`shed`/`drain` trace events, and each `open`'s
+    /// `space_cache`/`space_chunk`/`space_gen` events, to `sink`
     /// (builder-style; default is the no-op sink).
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace = sink;
@@ -529,9 +528,10 @@ impl SessionManager {
         admitted
     }
 
-    /// The post-admission tail of `open`: builds the space (through the
-    /// cache when configured), the session, and its journal, then inserts
-    /// the session under a fresh id.
+    /// The post-admission tail of `open`: builds the space (the same
+    /// spec → space step as `atf-tune run`, through the cache when
+    /// configured), the session, and its journal, then inserts the session
+    /// under a fresh id.
     fn open_admitted(
         &self,
         request: &Request,
@@ -540,59 +540,22 @@ impl SessionManager {
         technique: Box<dyn atf_core::search::SearchTechnique>,
         tenant: String,
     ) -> Response {
-        let params = match spec::build_params(parameters) {
-            Ok(p) => p,
+        let (space, space_build) = match atf_core::spacegen::space_from_spec(
+            parameters,
+            self.config.space_cache.as_deref(),
+            self.config.space_cache_max_entries,
+            self.config.space_cache_max_bytes,
+            self.trace.as_ref(),
+        ) {
+            Ok(built) => built,
             Err(e) => return Response::error(codes::SPEC, e),
         };
-        let groups = auto_group(params);
-        // With a persistent space cache, probe it by the spec's content
-        // hash before paying for generation; a miss generates (chunked,
-        // intra-group parallel) and stores the result for the next open.
-        let mut cache_hit = None;
-        let gen_started = Instant::now();
-        let space = match &self.config.space_cache {
-            Some(dir) => {
-                let cache = atf_core::spacegen::SpaceCache::new(dir).with_limits(
-                    self.config.space_cache_max_entries,
-                    self.config.space_cache_max_bytes,
-                );
-                let key = atf_core::spacegen::spec_key(parameters);
-                match cache.load(&key) {
-                    Some(cached) => {
-                        cache_hit = Some(true);
-                        SearchSpace::from_group_spaces(cached)
-                    }
-                    None => {
-                        cache_hit = Some(false);
-                        let generated = atf_core::spacegen::generate_groups_chunked(
-                            &groups,
-                            atf_core::spacegen::default_threads(),
-                            &atf_core::trace::NullSink,
-                        );
-                        if let Err(e) = cache.store(&key, &generated) {
-                            eprintln!("atf-service: could not store space cache entry: {e}");
-                        }
-                        SearchSpace::from_group_spaces(generated)
-                    }
-                }
-            }
-            None => SearchSpace::generate_parallel(&groups),
-        };
-        let space_gen = gen_started.elapsed();
         let space_size = space.len();
         let mut session = match TuningSession::new(space, technique) {
             Ok(s) => s,
             Err(e) => return Response::error(codes::TUNING, e),
         };
-        session
-            .metrics()
-            .space_gen_micros
-            .add(u64::try_from(space_gen.as_micros()).unwrap_or(u64::MAX));
-        match cache_hit {
-            Some(true) => session.metrics().space_cache_hits.inc(),
-            Some(false) => session.metrics().space_cache_misses.inc(),
-            None => {}
-        }
+        space_build.record(session.metrics());
         if let Some(a) = spec::build_abort(&request.abort.clone().unwrap_or_default()) {
             session = session.abort_condition(a);
         }

@@ -69,7 +69,7 @@ fn reference_outcome() -> Outcome {
     let manager = Arc::new(SessionManager::in_memory());
     let mut client = Client::loopback(manager);
     let resp = client
-        .tune(&toy_spec("chaos-toy"), |wire| Some(toy_cost(wire["X"])))
+        .tune(&toy_spec("chaos-toy"), |wire| Ok(toy_cost(wire["X"])))
         .expect("fault-free run");
     outcome(&resp)
 }
@@ -96,7 +96,7 @@ fn chaos_outcome(plan: &ChaosPlan) -> (Outcome, u64) {
     );
     let mut client = Client::new(transport);
     let resp = client
-        .tune(&toy_spec("chaos-toy"), |wire| Some(toy_cost(wire["X"])))
+        .tune(&toy_spec("chaos-toy"), |wire| Ok(toy_cost(wire["X"])))
         .expect("chaos run must converge through retries");
     let total = state.lock().counters().total();
     (outcome(&resp), total)
@@ -190,7 +190,7 @@ fn tcp_session_through_chaos_proxy_matches_fault_free_run() {
     );
     let mut client = Client::new(transport);
     let resp = client
-        .tune(&toy_spec("chaos-toy"), |wire| Some(toy_cost(wire["X"])))
+        .tune(&toy_spec("chaos-toy"), |wire| Ok(toy_cost(wire["X"])))
         .expect("chaos TCP run must converge through retries");
 
     assert_eq!(outcome(&resp), reference);

@@ -287,7 +287,7 @@ fn chaos_proxy_over_reactor_keeps_exactly_once_semantics() {
         let manager = Arc::new(SessionManager::in_memory());
         let mut client = Client::loopback(manager);
         client
-            .tune(&toy_spec("reactor-chaos"), |wire| Some(toy_cost(wire["X"])))
+            .tune(&toy_spec("reactor-chaos"), |wire| Ok(toy_cost(wire["X"])))
             .expect("fault-free run")
     };
 
@@ -317,7 +317,7 @@ fn chaos_proxy_over_reactor_keeps_exactly_once_semantics() {
     );
     let mut client = Client::new(transport);
     let resp = client
-        .tune(&toy_spec("reactor-chaos"), |wire| Some(toy_cost(wire["X"])))
+        .tune(&toy_spec("reactor-chaos"), |wire| Ok(toy_cost(wire["X"])))
         .expect("chaos run must converge through retries");
 
     assert_eq!(resp.best_cost, reference.best_cost);

@@ -103,7 +103,7 @@ fn concurrent_tcp_sessions_match_in_process_tuner_and_persist() {
             client
                 .tune(&session_spec(kernel, seed), |wire| {
                     let (x, y) = wire_as_pairs(wire);
-                    Some(kernel_cost(kernel, x, y))
+                    Ok(kernel_cost(kernel, x, y))
                 })
                 .unwrap()
         })

@@ -163,7 +163,7 @@ fn service_session_survives_a_stressful_fault_schedule() {
     );
     let mut cf = RetryCostFunction::new(faulty, quick_retry_policy(3), 5);
     let response = client
-        .tune_classified(&spec, |wire| {
+        .tune(&spec, |wire| {
             let config =
                 Config::from_pairs(wire.iter().map(|(n, v)| (n.as_str(), Value::UInt(*v))));
             cf.evaluate(&config).map_err(|e| e.kind())

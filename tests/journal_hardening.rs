@@ -21,7 +21,7 @@ fn space() -> SearchSpace {
 }
 
 /// Toy objective with a unique optimum at (X=7, Y=3).
-fn objective() -> impl CostFunction<Cost = f64> {
+fn objective() -> impl CostFunction<Cost = f64> + Send {
     cost_fn(|c: &Config| {
         let x = c.get_u64("X") as f64;
         let y = c.get_u64("Y") as f64;
@@ -302,6 +302,31 @@ fn journal_write_failure_degrades_without_killing_the_run() {
         "strict journaling must fail the report on a write error"
     );
     cleanup(&strict_path);
+}
+
+/// The same strict failure under the session driver: `drive_session` stops
+/// handing out and returns the journal error at any window — it must not
+/// panic (the pool used to `expect` every report to be accepted).
+#[test]
+fn strict_journal_failure_stops_drive_session_with_the_error() {
+    for window in [1usize, 4] {
+        let path = journal_path(&format!("strict-drive-{window}"));
+        cleanup(&path);
+        let mut session = journaled_session(&path, None)
+            .strict_journal(true)
+            .max_pending(window);
+        session.inject_journal_failures(1);
+        let workers: Vec<_> = (0..window).map(|_| objective()).collect();
+        let err = drive_session(&mut session, workers).unwrap_err();
+        assert!(
+            matches!(err, TuningError::Journal(_)),
+            "window {window}: {err:?}"
+        );
+        // Nothing was handed out after the refusal: at most the window's
+        // worth of tickets ever existed.
+        assert!(session.tickets_issued() <= window as u64, "window {window}");
+        cleanup(&path);
+    }
 }
 
 /// Regression fence: appending after a torn tail must truncate the torn

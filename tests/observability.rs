@@ -55,7 +55,7 @@ fn traced_run(seed: u64) -> (Vec<TraceEvent>, MetricsSnapshot) {
         .trace_to(sink.clone() as Arc<dyn TraceSink>);
     let metrics = Arc::clone(session.metrics());
     let workers: Vec<_> = (0..4).map(|_| keyed_faulty()).collect();
-    drive_session(&mut session, workers);
+    drive_session(&mut session, workers).unwrap();
     session.finish().unwrap();
     (sink.take(), metrics.snapshot())
 }
@@ -163,7 +163,7 @@ fn metrics_snapshot_agrees_with_session_status() {
             .trace_to(sink.clone() as Arc<dyn TraceSink>);
     let metrics = Arc::clone(session.metrics());
     let workers: Vec<_> = (0..4).map(|_| keyed_faulty()).collect();
-    drive_session(&mut session, workers);
+    drive_session(&mut session, workers).unwrap();
 
     let status = session.status();
     let snap = metrics.snapshot();

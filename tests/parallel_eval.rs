@@ -97,25 +97,42 @@ fn assert_identical(a: &TuningResult<f64>, b: &TuningResult<f64>, label: &str) {
     );
 }
 
-/// With one worker the pending window is 1, so `tune_parallel` must equal
-/// the serial loop EXACTLY for every technique — same configurations in
-/// the same order, hence the same best, cost, and counters.
+/// A session over the toy space with a window of `workers`, driven to the
+/// end by `drive_session` with one `make_cf()` per worker.
+fn pooled_run<CF: CostFunction<Cost = f64> + Send>(
+    tech: Box<dyn SearchTechnique>,
+    budget: u64,
+    workers: usize,
+    make_cf: impl Fn() -> CF,
+) -> Result<TuningResult<f64>, TuningError> {
+    let mut session = TuningSession::<f64>::new(space(), tech)?
+        .abort_condition(abort::evaluations(budget))
+        .max_pending(workers);
+    drive_session(&mut session, (0..workers).map(|_| make_cf()).collect())?;
+    session.finish()
+}
+
+/// The serial reference: the `next_config`/`report` loop, no pool involved.
+fn stepped_run(tech: Box<dyn SearchTechnique>, budget: u64) -> TuningResult<f64> {
+    let mut session = TuningSession::<f64>::new(space(), tech)
+        .unwrap()
+        .abort_condition(abort::evaluations(budget));
+    let mut cf = objective();
+    while let Some(config) = session.next_config() {
+        session.report(cf.evaluate(&config)).unwrap();
+    }
+    session.finish().unwrap()
+}
+
+/// With one worker the pending window is 1, so the pool must equal the
+/// serial loop EXACTLY for every technique — same configurations in the
+/// same order, hence the same best, cost, and counters.
 #[test]
 fn one_worker_parallel_equals_serial_for_every_technique() {
     for name in technique_names() {
-        let mut serial_tuner = Tuner::new()
-            .technique(technique(name, 41))
-            .abort_condition(abort::evaluations(60));
-        let serial = serial_tuner
-            .tune_space(&space(), &mut objective())
-            .unwrap_or_else(|e| panic!("`{name}` serial run failed: {e}"));
-
-        let parallel = Tuner::new()
-            .technique(technique(name, 41))
-            .abort_condition(abort::evaluations(60))
-            .tune_space_parallel(&space(), |_| objective(), 1)
+        let serial = stepped_run(technique(name, 41), 60);
+        let parallel = pooled_run(technique(name, 41), 60, 1, objective)
             .unwrap_or_else(|e| panic!("`{name}` one-worker run failed: {e}"));
-
         assert_identical(&serial, &parallel, name);
     }
 }
@@ -126,17 +143,8 @@ fn one_worker_parallel_equals_serial_for_every_technique() {
 #[test]
 fn four_workers_match_serial_exactly_for_order_free_techniques() {
     for name in ["exhaustive", "random"] {
-        let mut serial_tuner = Tuner::new()
-            .technique(technique(name, 17))
-            .abort_condition(abort::evaluations(60));
-        let serial = serial_tuner.tune_space(&space(), &mut objective()).unwrap();
-
-        let parallel = Tuner::new()
-            .technique(technique(name, 17))
-            .abort_condition(abort::evaluations(60))
-            .tune_space_parallel(&space(), |_| objective(), 4)
-            .unwrap();
-
+        let serial = stepped_run(technique(name, 17), 60);
+        let parallel = pooled_run(technique(name, 17), 60, 4, objective).unwrap();
         assert_identical(&serial, &parallel, name);
     }
 }
@@ -149,10 +157,7 @@ fn four_workers_match_serial_exactly_for_order_free_techniques() {
 fn four_worker_runs_are_reproducible_and_converge() {
     for name in technique_names() {
         let run = || {
-            Tuner::new()
-                .technique(technique(name, 59))
-                .abort_condition(abort::evaluations(72))
-                .tune_space_parallel(&space(), |_| objective(), 4)
+            pooled_run(technique(name, 59), 72, 4, objective)
                 .unwrap_or_else(|e| panic!("`{name}` four-worker run failed: {e}"))
         };
         let first = run();
@@ -273,7 +278,7 @@ fn eight_worker_journaled_run_resumes_identically() {
         .max_pending(8)
         .journal_to(&path)
         .unwrap();
-    drive_session(&mut reference, (0..8).map(|_| keyed_faulty()).collect());
+    drive_session(&mut reference, (0..8).map(|_| keyed_faulty()).collect()).unwrap();
     let reference_counts = reference.status().failure_counts();
     let reference = reference.finish().unwrap();
     assert_eq!(reference.evaluations, budget);
@@ -298,7 +303,7 @@ fn eight_worker_journaled_run_resumes_identically() {
         8,
         "replay must adopt the journal's window"
     );
-    drive_session(&mut resumed, (0..8).map(|_| keyed_faulty()).collect());
+    drive_session(&mut resumed, (0..8).map(|_| keyed_faulty()).collect()).unwrap();
     let resumed_counts = resumed.status().failure_counts();
     let resumed = resumed.finish().unwrap();
 
@@ -342,7 +347,7 @@ fn every_technique_survives_faults_with_four_workers() {
                 )
             })
             .collect();
-        drive_session(&mut session, cost_functions);
+        drive_session(&mut session, cost_functions).unwrap();
         let failure_counts = session.status().failure_counts();
         let result = session
             .finish()
@@ -374,11 +379,7 @@ fn four_workers_at_least_double_throughput() {
     };
     let run = |workers: usize| {
         let start = Instant::now();
-        let result = Tuner::new()
-            .technique(Exhaustive::new())
-            .abort_condition(abort::evaluations(40))
-            .tune_space_parallel(&space(), |_| sleepy(), workers)
-            .unwrap();
+        let result = pooled_run(Box::new(Exhaustive::new()), 40, workers, sleepy).unwrap();
         assert_eq!(result.evaluations, 40);
         (start.elapsed(), result)
     };

@@ -152,7 +152,7 @@ fn default_abort_is_space_size() {
 
 #[test]
 fn grouped_parameters_tune_end_to_end() {
-    // Two independent groups (Fig. 1 style) tuned with parallel generation:
+    // Two independent groups (Fig. 1 style) over a parallel-generated space:
     // saxpy's WPT/LS plus an independent dummy "BATCH" parameter that the
     // cost function folds in.
     let n = 1u64 << 12;
@@ -171,8 +171,7 @@ fn grouped_parameters_tune_end_to_end() {
     let result = Tuner::new()
         .technique(Ensemble::opentuner_default(8))
         .abort_condition(abort::evaluations(500))
-        .parallel_generation(true)
-        .tune(&[g1, g2], &mut cf)
+        .tune_space(&SearchSpace::generate_parallel(&[g1, g2]), &mut cf)
         .unwrap();
     assert_eq!(result.best_config.get_u64("BATCH"), 4);
 }
@@ -201,21 +200,14 @@ fn auto_grouping_matches_manual_grouping() {
     ];
     assert_eq!(auto_space, SearchSpace::count(&manual).unwrap());
 
-    // And tune_auto drives the whole pipeline.
+    // And tuning over the automatic grouping drives the whole pipeline.
     let mut cf = cost_fn(|c: &Config| {
         c.get_u64("WPT") as f64 + c.get_u64("LS") as f64 + c.get_u64("BATCH") as f64
     });
     let r = Tuner::new()
         .technique(Ensemble::opentuner_default(12))
         .abort_condition(abort::evaluations(200))
-        .tune_auto(
-            vec![
-                tp_c("WPT", Range::interval(1, n), divides(cst(n))),
-                tp_c("LS", Range::interval(1, n), divides(cst(n) / param("WPT"))),
-                tp("BATCH", Range::set([1u64, 2, 4])),
-            ],
-            &mut cf,
-        )
+        .tune(&auto, &mut cf)
         .unwrap();
     assert_eq!(r.best_cost, 3.0); // WPT=1, LS=1, BATCH=1
 }
