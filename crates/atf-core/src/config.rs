@@ -40,6 +40,13 @@ impl Config {
         }
     }
 
+    /// An empty configuration with room for `n` parameters.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Config {
+            entries: Vec::with_capacity(n),
+        }
+    }
+
     /// Appends a parameter value. Names must be unique; appending a duplicate
     /// name panics (a configuration is not a multimap).
     pub fn push(&mut self, name: Arc<str>, value: Value) {
@@ -50,10 +57,19 @@ impl Config {
         self.entries.push((name, value));
     }
 
-    /// Removes the most recently appended parameter (used by the DFS space
-    /// generator when backtracking).
-    pub fn pop(&mut self) {
-        self.entries.pop();
+    /// [`Self::push`] without the duplicate-name scan, for the space
+    /// engine: it appends names whose uniqueness was asserted once for the
+    /// whole group ([`crate::param::ParamGroup::new`]) or space, not once
+    /// per generated or read configuration.
+    pub(crate) fn push_unique(&mut self, name: Arc<str>, value: Value) {
+        debug_assert!(self.get(&name).is_none(), "duplicate parameter `{name}`");
+        self.entries.push((name, value));
+    }
+
+    /// Removes and returns the most recently appended parameter (used by
+    /// the DFS space generator when backtracking).
+    pub fn pop(&mut self) -> Option<(Arc<str>, Value)> {
+        self.entries.pop()
     }
 
     /// Looks up a parameter value by name.

@@ -14,20 +14,25 @@
 //! per prefix, divisor enumeration, monotone scan cut-offs) with a sound
 //! per-candidate fallback for opaque predicates, and
 //! [`SearchSpace::generate_parallel`] chunks each group's leading parameter
-//! across a worker pool — parallelism no longer stops at one thread per
-//! group, and output is bit-identical to sequential generation at any
-//! thread count.
+//! across a worker pool — output is bit-identical to sequential generation
+//! at any thread count.
+//!
+//! A generated group is not a table of configurations. [`GroupSpace`] keeps
+//! one packed row of range positions per valid assignment of the group's
+//! *constrained prefix* and indexes the unconstrained tail below each row
+//! arithmetically: one allocation per group, a couple of bytes per
+//! configuration, O(#parameters) to read configuration `i`.
 //!
 //! Parameter *groups* (Section V) are independent; the full space is their
-//! cross product, which is never materialized: [`SearchSpace::get`]
-//! decomposes a flat index in the mixed radix of the group sizes in
-//! O(#groups). Groups may also be backed lazily
-//! ([`crate::spacegen::LazySpace`]) so spaces too large to materialize
-//! still support indexed access.
+//! cross product, which is never built: [`SearchSpace::get`] decomposes a
+//! flat index in the mixed radix of the group sizes in O(#groups). Groups
+//! may also be backed lazily ([`crate::spacegen::LazySpace`]): a streaming
+//! view that stores checkpoints instead of rows.
 
 use crate::config::Config;
 use crate::param::ParamGroup;
-use crate::spacegen::{self, GroupPlan, LazyGroup, LazySpace};
+use crate::range::Range;
+use crate::spacegen::{self, GroupPlan, LazyGroup, LazySpace, PackedRows};
 use crate::trace::NullSink;
 use crate::value::Value;
 use std::fmt;
@@ -37,7 +42,7 @@ use std::sync::Arc;
 /// Errors during search-space generation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpaceError {
-    /// Generation exceeded the configured limit on materialized
+    /// Generation exceeded the configured limit on the number of
     /// configurations (guards against cross-product explosions).
     TooLarge {
         /// The limit that was exceeded.
@@ -71,11 +76,24 @@ impl fmt::Display for SpaceError {
 
 impl std::error::Error for SpaceError {}
 
-/// The materialized valid sub-space of one parameter group.
+/// The valid sub-space of one parameter group, stored as **packed prefix
+/// rows × an unmaterialised tail** (DESIGN.md, "Space representation").
+///
+/// The prefix is the parameters up to the last constrained one: each valid
+/// assignment of them is one row of range positions in `rows`. The tail
+/// parameters are unconstrained, so below every row sits the full product
+/// of their ranges, which is never stored. Configuration `i` is row
+/// `i / tail_len` followed by the mixed-radix digits of `i % tail_len`
+/// over the tail ranges (last parameter fastest); every position is
+/// decoded with [`Range::get`].
 #[derive(Clone)]
 pub struct GroupSpace {
     names: Arc<[Arc<str>]>,
-    configs: Vec<Box<[Value]>>,
+    ranges: Vec<Range>,
+    rows: PackedRows,
+    /// Product of the tail ranges' sizes (1 for an empty tail).
+    tail_len: u64,
+    len: u64,
 }
 
 impl GroupSpace {
@@ -85,75 +103,65 @@ impl GroupSpace {
         Self::generate_with(group, u64::MAX, None).expect("no limit configured")
     }
 
-    /// Generates with a limit on the number of materialized configurations
-    /// and an optional cooperative cancellation flag.
+    /// Generates with a limit on the number of configurations and an
+    /// optional cooperative cancellation flag.
     pub fn generate_with(
         group: &ParamGroup,
         limit: u64,
         cancel: Option<&AtomicBool>,
     ) -> Result<Self, SpaceError> {
-        let plan = GroupPlan::compile(group);
-        let mut configs = Vec::new();
-        let mut partial = Config::new();
-        let mut values: Vec<Value> = Vec::with_capacity(group.len());
-        plan.walk(
-            0,
-            &mut partial,
-            &mut values,
-            &mut |vals| {
-                if configs.len() as u64 >= limit {
-                    return Err(SpaceError::TooLarge { limit });
-                }
-                configs.push(vals.to_vec().into_boxed_slice());
-                Ok(())
-            },
-            cancel,
-        )?;
-        Ok(GroupSpace {
-            names: plan.names(),
-            configs,
-        })
+        spacegen::generate_group_chunked(group, 1, limit, cancel, &NullSink, 0)
     }
 
     /// Reference generator: the original per-candidate
     /// predicate-evaluation DFS, kept as the equivalence oracle for the
     /// compiled engine (every constraint is `check`ed per candidate, no
-    /// compilation, no fast paths).
+    /// compilation, no fast paths, and no tail: it walks every parameter
+    /// and stores one full-length row per configuration).
     pub fn generate_reference(group: &ParamGroup) -> Self {
-        let names: Arc<[Arc<str>]> = group.params().iter().map(|p| p.name_arc()).collect();
-        let mut configs = Vec::new();
-        let mut partial = Config::new();
-        let mut values: Vec<Value> = Vec::with_capacity(group.len());
-        dfs(group, 0, &mut partial, &mut values, &mut |vals| {
-            configs.push(vals.to_vec().into_boxed_slice());
+        let names = group.params().iter().map(|p| p.name_arc()).collect();
+        let ranges: Vec<Range> = group.params().iter().map(|p| p.range().clone()).collect();
+        let mut rows = PackedRows::new(&ranges);
+        dfs(group, &mut Config::new(), &mut Vec::new(), &mut |row| {
+            rows.push(row)
         });
-        GroupSpace { names, configs }
+        Self::from_rows(names, ranges, rows).expect("one row per configuration")
     }
 
-    /// Assembles a group space from raw parts (cache loads, chunked
-    /// generation). `configs` must be aligned with `names`.
-    pub fn from_parts(names: Arc<[Arc<str>]>, configs: Vec<Box<[Value]>>) -> Self {
-        debug_assert!(configs.iter().all(|c| c.len() == names.len()));
-        GroupSpace { names, configs }
+    /// Assembles a group space from the valid `rows` over the first
+    /// `rows.row_len()` of `ranges`; the other ranges are the tail.
+    pub(crate) fn from_rows(
+        names: Arc<[Arc<str>]>,
+        ranges: Vec<Range>,
+        rows: PackedRows,
+    ) -> Result<Self, SpaceError> {
+        let tail_len = spacegen::tail_len(&ranges[rows.row_len()..]);
+        Ok(GroupSpace {
+            len: spacegen::configs(rows.rows(), tail_len)?,
+            // Overflowing, it sits below no row: the space is empty.
+            tail_len: tail_len.unwrap_or(0),
+            names,
+            ranges,
+            rows,
+        })
     }
 
-    /// Counts the valid configurations of `group` without materializing
-    /// them, short-cutting unconstrained suffixes to a product of range
-    /// sizes. This is what makes exact space-size tables feasible at sizes
-    /// where the materialized space would not fit in memory. Returns
-    /// [`SpaceError::Overflow`] when the count exceeds `u64`.
+    /// Counts the valid configurations of `group` without storing a row,
+    /// as prefix rows times the product of the unconstrained tail's range
+    /// sizes. Returns [`SpaceError::Overflow`] when the count exceeds
+    /// `u64`.
     pub fn count(group: &ParamGroup) -> Result<u64, SpaceError> {
-        GroupPlan::compile(group).count_from(0, &mut Config::new())
+        GroupPlan::compile(group).count()
     }
 
     /// Number of valid configurations in this group.
     pub fn len(&self) -> u64 {
-        self.configs.len() as u64
+        self.len
     }
 
     /// `true` if the group has no valid configuration.
     pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
+        self.len == 0
     }
 
     /// The parameter names of this group, in declaration order.
@@ -161,16 +169,41 @@ impl GroupSpace {
         &self.names
     }
 
-    /// The `i`-th valid configuration's values (aligned with [`Self::names`]).
-    pub fn values(&self, i: u64) -> &[Value] {
-        &self.configs[i as usize]
+    /// Every parameter's decode range and the stored prefix rows — what a
+    /// cache entry persists.
+    pub(crate) fn packed(&self) -> (&[Range], &PackedRows) {
+        (&self.ranges, &self.rows)
     }
 
-    /// Appends the `i`-th valid configuration's entries to `out`.
-    pub fn write_config(&self, i: u64, out: &mut Config) {
-        for (name, value) in self.names.iter().zip(self.configs[i as usize].iter()) {
-            out.push(name.clone(), value.clone());
+    /// Decodes the `i`-th valid configuration, handing each parameter's
+    /// index and value to `put` in declaration order.
+    fn decode(&self, i: u64, mut put: impl FnMut(usize, Value)) {
+        assert!(i < self.len, "group index {i} out of bounds ({})", self.len);
+        let prefix_len = self.rows.row_len();
+        let row = (i / self.tail_len) as usize * prefix_len;
+        for d in 0..prefix_len {
+            put(d, self.ranges[d].get(self.rows.get(row + d)));
         }
+        let (mut rest, mut stride) = (i % self.tail_len, self.tail_len);
+        for d in prefix_len..self.ranges.len() {
+            stride /= self.ranges[d].len();
+            put(d, self.ranges[d].get(rest / stride));
+            rest %= stride;
+        }
+    }
+
+    /// The `i`-th valid configuration's values (aligned with [`Self::names`]).
+    pub fn values(&self, i: u64) -> Vec<Value> {
+        let mut values = Vec::with_capacity(self.names.len());
+        self.decode(i, |_, v| values.push(v));
+        values
+    }
+
+    /// Appends the `i`-th valid configuration's entries to `out`. The
+    /// names must not be in `out` yet ([`SearchSpace`] checks that once,
+    /// across its groups).
+    pub(crate) fn write_config(&self, i: u64, out: &mut Config) {
+        self.decode(i, |d, v| out.push_unique(self.names[d].clone(), v));
     }
 }
 
@@ -180,44 +213,38 @@ impl fmt::Debug for GroupSpace {
             f,
             "GroupSpace({:?}; {} valid configs)",
             self.names.iter().map(|n| n.as_ref()).collect::<Vec<_>>(),
-            self.configs.len()
+            self.len
         )
     }
 }
 
 /// The original depth-first walk over constrained ranges: evaluates the
-/// full constraint predicate for every candidate value. Retained solely as
-/// the reference oracle behind [`GroupSpace::generate_reference`].
+/// full constraint predicate for every candidate value of every parameter
+/// and emits each valid configuration's range positions. Retained solely
+/// as the reference oracle behind [`GroupSpace::generate_reference`].
 fn dfs(
     group: &ParamGroup,
-    depth: usize,
     partial: &mut Config,
-    values: &mut Vec<Value>,
-    emit: &mut impl FnMut(&[Value]),
+    row: &mut Vec<u64>,
+    emit: &mut impl FnMut(&[u64]),
 ) {
-    if depth == group.len() {
-        emit(values);
-        return;
-    }
-    let p = &group.params()[depth];
-    for v in p.range().iter() {
-        let ok = match p.constraint() {
-            Some(c) => c.check(&v, partial),
-            None => true,
-        };
-        if !ok {
+    let Some(p) = group.params().get(row.len()) else {
+        return emit(row);
+    };
+    for (pos, v) in p.range().iter().enumerate() {
+        if p.constraint().is_some_and(|c| !c.check(&v, partial)) {
             continue;
         }
-        partial.push(p.name_arc(), v.clone());
-        values.push(v);
-        dfs(group, depth + 1, partial, values, emit);
-        values.pop();
+        partial.push(p.name_arc(), v);
+        row.push(pos as u64);
+        dfs(group, partial, row, emit);
+        row.pop();
         partial.pop();
     }
 }
 
-/// One group's backing store inside a [`SearchSpace`]: fully materialized
-/// configs, or a lazy streaming view with bounded memory.
+/// One group's backing store inside a [`SearchSpace`]: the packed group
+/// space, or a lazy streaming view with bounded memory.
 #[derive(Clone, Debug)]
 enum GroupRepr {
     Materialized(GroupSpace),
@@ -229,6 +256,13 @@ impl GroupRepr {
         match self {
             GroupRepr::Materialized(g) => g.len(),
             GroupRepr::Lazy(g) => g.len(),
+        }
+    }
+
+    fn names(&self) -> &[Arc<str>] {
+        match self {
+            GroupRepr::Materialized(g) => g.names(),
+            GroupRepr::Lazy(g) => g.names(),
         }
     }
 
@@ -244,6 +278,8 @@ impl GroupRepr {
 #[derive(Clone, Debug)]
 pub struct SearchSpace {
     groups: Vec<GroupRepr>,
+    /// Parameters per configuration, over all groups.
+    arity: usize,
     len: u128,
 }
 
@@ -261,26 +297,40 @@ impl SearchSpace {
         spacegen::space_from_groups(groups, None, &NullSink).0
     }
 
-    /// Generates with a per-group limit on materialized configurations.
-    pub fn generate_with_limit(groups: &[ParamGroup], limit: u64) -> Result<Self, SpaceError> {
-        let gs = groups
-            .iter()
-            .map(|g| GroupSpace::generate_with(g, limit, None))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_group_spaces(gs))
+    /// Assembles a search space from already-generated group spaces.
+    ///
+    /// # Panics
+    /// Panics if two groups share a parameter name, or if the product of
+    /// the group sizes overflows `u128` ([`SpaceError::Overflow`]'s
+    /// message) — reachable now that an unconstrained group of any size
+    /// costs no memory.
+    pub fn from_group_spaces(groups: Vec<GroupSpace>) -> Self {
+        Self::assemble(groups.into_iter().map(GroupRepr::Materialized).collect())
     }
 
-    /// Assembles a search space from already-generated group spaces.
-    pub fn from_group_spaces(groups: Vec<GroupSpace>) -> Self {
-        let len = groups.iter().map(|g| g.len() as u128).product::<u128>();
-        let len = if groups.is_empty() { 0 } else { len };
+    /// The one constructor: checks once what every later read relies on —
+    /// parameter names are unique across the groups (so
+    /// [`Self::get_by_coords`] appends them unchecked) and the size fits.
+    fn assemble(groups: Vec<GroupRepr>) -> Self {
+        let names: Vec<&Arc<str>> = groups.iter().flat_map(|g| g.names()).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(
+                !names[..i].contains(name),
+                "duplicate parameter name `{name}` in search space"
+            );
+        }
+        let len = groups
+            .iter()
+            .try_fold(1u128, |len, g| len.checked_mul(u128::from(g.len())))
+            .unwrap_or_else(|| panic!("{}", SpaceError::Overflow));
         SearchSpace {
-            groups: groups.into_iter().map(GroupRepr::Materialized).collect(),
-            len,
+            arity: names.len(),
+            len: if groups.is_empty() { 0 } else { len },
+            groups,
         }
     }
 
-    /// Counts the valid configurations without materializing anything.
+    /// Counts the valid configurations without storing anything.
     /// [`SpaceError::Overflow`] signals a space too large to count in
     /// `u128` (or a group too large for `u64`).
     pub fn count(groups: &[ParamGroup]) -> Result<u128, SpaceError> {
@@ -315,7 +365,7 @@ impl SearchSpace {
     /// (`coords.len() == self.dims().len()`).
     pub fn get_by_coords(&self, coords: &[u64]) -> Config {
         assert_eq!(coords.len(), self.groups.len(), "coordinate arity mismatch");
-        let mut cfg = Config::new();
+        let mut cfg = Config::with_capacity(self.arity);
         for (g, &i) in self.groups.iter().zip(coords) {
             g.write_config(i, &mut cfg);
         }
@@ -370,15 +420,7 @@ impl SearchSpace {
 /// materialized table.
 impl From<LazySpace> for SearchSpace {
     fn from(lazy: LazySpace) -> Self {
-        let len = lazy.len();
-        SearchSpace {
-            groups: lazy
-                .groups()
-                .iter()
-                .map(|g| GroupRepr::Lazy(g.clone()))
-                .collect(),
-            len,
-        }
+        Self::assemble(lazy.groups().iter().cloned().map(GroupRepr::Lazy).collect())
     }
 }
 
@@ -611,7 +653,7 @@ mod tests {
     #[test]
     fn generation_limit_enforced() {
         let g = ParamGroup::new(vec![tp("X", Range::interval(1, 1000))]);
-        let err = SearchSpace::generate_with_limit(&[g], 10).unwrap_err();
+        let err = GroupSpace::generate_with(&g, 10, None).unwrap_err();
         assert_eq!(err, SpaceError::TooLarge { limit: 10 });
     }
 
@@ -646,6 +688,27 @@ mod tests {
         let valid = SearchSpace::count(&groups).unwrap();
         let unconstrained: u128 = groups.iter().map(|g| g.unconstrained_size()).product();
         assert!(valid * 20 < unconstrained, "{valid} vs {unconstrained}");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate parameter name `A` in search space")]
+    fn groups_sharing_a_name_are_refused_at_assembly() {
+        let g = || GroupSpace::generate(&ParamGroup::new(vec![tp("A", Range::interval(1, 3))]));
+        SearchSpace::from_group_spaces(vec![g(), g()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the counting integer type")]
+    fn oversized_cross_products_panic_instead_of_wrapping() {
+        // Three unconstrained 2^60 groups cost no memory; their product
+        // does not fit `u128`.
+        let g = |name: &str| {
+            GroupSpace::generate(&ParamGroup::new(vec![tp(
+                name,
+                Range::interval(1, 1 << 60),
+            )]))
+        };
+        SearchSpace::from_group_spaces(vec![g("A"), g("B"), g("C")]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! of ten parameters) now parallelizes internally instead of pinning one
 //! core.
 
-use super::compile::GroupPlan;
-use crate::config::Config;
+use super::compile::{configs, tail_len, GroupPlan, Prefix};
+use super::packed::PackedRows;
 use crate::param::ParamGroup;
 use crate::space::{GroupSpace, SpaceError};
 use crate::trace::{TraceEvent, TraceSink};
@@ -35,14 +35,12 @@ pub fn default_threads() -> usize {
         .min(16)
 }
 
-/// One worker-produced chunk: its slot in sequential order and the
-/// generated configurations (or the error that stopped it).
-type ChunkResult = (usize, Result<Vec<Box<[Value]>>, SpaceError>);
-
 /// Generates one group's valid sub-space with `threads` workers over
-/// leading-parameter chunks. Emits one `space_chunk` trace event per chunk
-/// (from the workers, in completion order) and returns configurations in
-/// exactly sequential order.
+/// leading-parameter chunks. Each chunk packs its prefix rows on its own;
+/// the chunks are concatenated in chunk order, so the rows are exactly the
+/// sequential walk's. Emits one `space_chunk` trace event
+/// per chunk (from the workers, in completion order). `limit` bounds the
+/// number of configurations (rows times the unconstrained tail).
 pub fn generate_group_chunked(
     group: &ParamGroup,
     threads: usize,
@@ -52,98 +50,82 @@ pub fn generate_group_chunked(
     group_index: usize,
 ) -> Result<GroupSpace, SpaceError> {
     let plan = GroupPlan::compile(group);
-    let names = plan.names();
+    let ranges = plan.ranges();
+    let (stored, tail) = ranges.split_at(plan.prefix_len());
+    let tail = tail_len(tail);
 
-    // Leading-parameter candidates under the empty prefix.
-    let mut leading: Vec<Value> = Vec::new();
-    {
-        let empty = Config::new();
-        let mut src = plan.candidates(0, &empty);
-        while let Some((_, v)) = src.next(&empty) {
-            leading.push(v);
+    // Walks the subtree below `below`, packing its rows into `out`. Row
+    // number `r` (over all chunks) is admitted while `r + 1` rows of
+    // configurations fit the limit, so the walk stops at the first row too
+    // many instead of filling memory first.
+    let rows = AtomicU64::new(0);
+    let fill = |below: &mut Prefix, out: &mut PackedRows| {
+        let mut pack = |row: &[u64]| {
+            let admitted = rows.fetch_add(1, Ordering::Relaxed) + 1;
+            if configs(admitted, tail)? > limit {
+                return Err(SpaceError::TooLarge { limit });
+            }
+            out.push(row);
+            Ok(())
+        };
+        plan.walk(below, &mut pack, cancel)
+    };
+
+    // Leading-parameter candidates under the empty prefix. A one-thread
+    // pool, a single leading candidate or a prefix of at most the leading
+    // parameter leaves nothing to fan out.
+    let mut leading: Vec<(u64, Value)> = Vec::new();
+    if threads > 1 && stored.len() > 1 {
+        let empty = Prefix::new(&plan);
+        let mut src = plan.candidates(0, empty.config());
+        while let Some(candidate) = src.next(empty.config()) {
+            leading.push(candidate);
         }
     }
-
-    if threads <= 1 || leading.len() <= 1 || plan.len() == 1 {
-        // Sequential fallback: single parameter, nothing to fan out, or a
-        // one-thread pool.
-        let mut configs = Vec::new();
-        let mut partial = Config::new();
-        let mut values = Vec::with_capacity(plan.len());
-        plan.walk(
-            0,
-            &mut partial,
-            &mut values,
-            &mut |vals| {
-                if configs.len() as u64 >= limit {
-                    return Err(SpaceError::TooLarge { limit });
-                }
-                configs.push(vals.to_vec().into_boxed_slice());
-                Ok(())
-            },
-            cancel,
-        )?;
-        return Ok(GroupSpace::from_parts(names, configs));
+    let mut rows_of_group = PackedRows::new(stored);
+    if leading.len() <= 1 {
+        fill(&mut Prefix::new(&plan), &mut rows_of_group)?;
+        return GroupSpace::from_rows(plan.names(), ranges, rows_of_group);
     }
 
     // Partition the leading candidates into contiguous chunks.
     let chunk_count = (threads * CHUNKS_PER_THREAD).min(leading.len());
     let per_chunk = leading.len().div_ceil(chunk_count);
-    let chunks: Vec<&[Value]> = leading.chunks(per_chunk).collect();
+    let chunks: Vec<&[(u64, Value)]> = leading.chunks(per_chunk).collect();
 
     let next_chunk = AtomicUsize::new(0);
-    let emitted = AtomicU64::new(0);
-    let mut slots: Vec<Result<Vec<Box<[Value]>>, SpaceError>> =
-        (0..chunks.len()).map(|_| Ok(Vec::new())).collect();
+    let mut slots: Vec<Result<PackedRows, SpaceError>> = (0..chunks.len())
+        .map(|_| Ok(PackedRows::new(stored)))
+        .collect();
 
     std::thread::scope(|scope| {
         let workers = threads.min(chunks.len());
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let plan = &plan;
-            let chunks = &chunks;
-            let next_chunk = &next_chunk;
-            let emitted = &emitted;
+            let (plan, chunks, next_chunk, fill) = (&plan, &chunks, &next_chunk, &fill);
             handles.push(scope.spawn(move || {
-                let mut results: Vec<ChunkResult> = Vec::new();
+                let mut results = Vec::new();
+                let mut prefix = Prefix::new(plan);
                 loop {
                     let c = next_chunk.fetch_add(1, Ordering::Relaxed);
                     if c >= chunks.len() {
                         return results;
                     }
                     let started = Instant::now();
-                    let mut out: Vec<Box<[Value]>> = Vec::new();
-                    let mut r = Ok(());
-                    'values: for v in chunks[c] {
-                        let mut partial = Config::new();
-                        partial.push(plan.param(0).name_arc(), v.clone());
-                        let mut values = Vec::with_capacity(plan.len());
-                        values.push(v.clone());
-                        let walked = plan.walk(
-                            1,
-                            &mut partial,
-                            &mut values,
-                            &mut |vals| {
-                                if emitted.fetch_add(1, Ordering::Relaxed) >= limit {
-                                    return Err(SpaceError::TooLarge { limit });
-                                }
-                                out.push(vals.to_vec().into_boxed_slice());
-                                Ok(())
-                            },
-                            cancel,
-                        );
-                        if let Err(e) = walked {
-                            r = Err(e);
-                            break 'values;
-                        }
-                    }
+                    let mut out = PackedRows::new(stored);
+                    let walked = chunks[c].iter().try_for_each(|(pos, v)| {
+                        prefix.push(*pos, v.clone());
+                        let walked = fill(&mut prefix, &mut out);
+                        prefix.pop();
+                        walked
+                    });
                     trace.emit(&TraceEvent::space_chunk(
                         group_index,
                         c,
-                        out.len() as u64,
+                        configs(out.rows(), tail).unwrap_or(u64::MAX),
                         u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
                     ));
-                    results.push((c, r.map(|()| out)));
+                    results.push((c, walked.map(|()| out)));
                 }
             }));
         }
@@ -155,14 +137,8 @@ pub fn generate_group_chunked(
     });
 
     // Deterministic concatenation in chunk order.
-    let mut configs = Vec::new();
-    for slot in slots {
-        configs.extend(slot?);
-    }
-    if configs.len() as u64 > limit {
-        return Err(SpaceError::TooLarge { limit });
-    }
-    Ok(GroupSpace::from_parts(names, configs))
+    rows_of_group.extend(&slots.into_iter().collect::<Result<Vec<_>, _>>()?);
+    GroupSpace::from_rows(plan.names(), ranges, rows_of_group)
 }
 
 /// Generates all groups' sub-spaces, each with intra-group chunked
@@ -210,7 +186,80 @@ mod tests {
 
     fn sequential(group: &ParamGroup) -> Vec<Vec<Value>> {
         let gs = GroupSpace::generate(group);
-        (0..gs.len()).map(|i| gs.values(i).to_vec()).collect()
+        (0..gs.len()).map(|i| gs.values(i)).collect()
+    }
+
+    /// CLBlast's XgemmDirect space (`clblast::xgemm_space`, which depends
+    /// on this crate) with tiles up to `cap`: eight constrained parameters
+    /// and a two-parameter unconstrained tail.
+    fn xgemm_group(cap: u64) -> ParamGroup {
+        use crate::constraint::predicate;
+        let dim = || Range::interval(1, cap);
+        let vw = || Range::set([1u64, 2, 4, 8]);
+        let threads = p("MDIMCD") * p("NDIMCD");
+        ParamGroup::new(vec![
+            tp("WGD", dim()),
+            tp_c("MDIMCD", dim(), divides(p("WGD"))),
+            tp_c(
+                "NDIMCD",
+                dim(),
+                divides(p("WGD"))
+                    & predicate("MDIMCD*NDIMCD <= 1024", |v, c| {
+                        v.as_u64().is_some_and(|n| n * c.get_u64("MDIMCD") <= 1024)
+                    }),
+            ),
+            tp_c(
+                "MDIMAD",
+                dim(),
+                divides(p("WGD")) & divides(threads.clone()),
+            ),
+            tp_c("NDIMBD", dim(), divides(p("WGD")) & divides(threads)),
+            tp_c("KWID", dim(), divides(p("WGD"))),
+            tp_c(
+                "VWMD",
+                vw(),
+                divides(p("WGD") / p("MDIMCD")) & divides(p("WGD") / p("MDIMAD")),
+            ),
+            tp_c(
+                "VWND",
+                vw(),
+                divides(p("WGD") / p("NDIMCD")) & divides(p("WGD") / p("NDIMBD")),
+            ),
+            tp("PADA", Range::boolean()),
+            tp("PADB", Range::boolean()),
+        ])
+    }
+
+    /// The footprint fence: a generated group keeps one code vector, not a
+    /// heap row per configuration, and generating it allocates per chunk
+    /// (and per walked prefix, as counting does), not per configuration.
+    #[test]
+    fn packed_rows_allocate_per_group_not_per_configuration() {
+        use crate::test_alloc::footprint;
+        let group = xgemm_group(16);
+        let generate = |threads| {
+            generate_group_chunked(&group, threads, u64::MAX, None, &NullSink, 0).unwrap()
+        };
+        let (counted, walk) = footprint(|| GroupSpace::count(&group).unwrap());
+        let (space, stored) = footprint(|| generate(1));
+        assert_eq!(space.len(), counted);
+        assert!(counted > 10_000, "cap 16 is {counted} configurations");
+        // Storing the rows adds the code vector's regrowths to what the
+        // walk itself allocates — nothing that scales with the space.
+        assert!(
+            stored.calls <= walk.calls + 64,
+            "{stored:?} for the store, {walk:?} for the walk alone"
+        );
+        assert!(stored.live_blocks <= 8, "{stored:?}");
+        assert!(stored.live_bytes as u64 <= 16 * counted, "{stored:?}");
+        // Fanned out, the calling thread allocates per chunk and worker.
+        let chunks = 2 * CHUNKS_PER_THREAD;
+        let (fanned, calling) = footprint(|| generate(2));
+        assert_eq!(fanned.len(), counted);
+        assert!(
+            calling.calls <= 32 * chunks,
+            "{calling:?} for {chunks} chunks"
+        );
     }
 
     #[test]
@@ -219,7 +268,7 @@ mod tests {
         let want = sequential(&g);
         for threads in [1, 2, 3, 8] {
             let gs = generate_group_chunked(&g, threads, u64::MAX, None, &NullSink, 0).unwrap();
-            let got: Vec<Vec<Value>> = (0..gs.len()).map(|i| gs.values(i).to_vec()).collect();
+            let got: Vec<Vec<Value>> = (0..gs.len()).map(|i| gs.values(i)).collect();
             assert_eq!(got, want, "threads = {threads}");
         }
     }

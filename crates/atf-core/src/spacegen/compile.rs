@@ -308,9 +308,10 @@ fn divisors_in_window(t: u64, begin: u64, end: u64, step: u64) -> Vec<u64> {
 
 /// The candidate values of one parameter under one generation prefix:
 /// either a filtered scan over the parameter's range or a precomputed list
-/// (divisor enumeration). Candidate *positions* — raw range indices for a
-/// window, list indices for a list — are stable for a given prefix, which
-/// is what lazy-space checkpoints rely on.
+/// (divisor enumeration). A candidate's *position* is its index in the
+/// parameter's range from either source — `range.get(position)` is its
+/// value — which is what the packed group store keeps per prefix row and
+/// what lazy-space checkpoints restore.
 pub(crate) enum CandSource<'p> {
     Window {
         range: &'p Range,
@@ -321,7 +322,8 @@ pub(crate) enum CandSource<'p> {
         len: u64,
     },
     List {
-        values: Vec<Value>,
+        /// `(position, value)`, ascending.
+        values: Vec<(u64, Value)>,
         next: usize,
     },
 }
@@ -358,13 +360,9 @@ impl CandSource<'_> {
                 None
             }
             CandSource::List { values, next } => {
-                if *next < values.len() {
-                    let i = *next;
-                    *next += 1;
-                    Some((i as u64, values[i].clone()))
-                } else {
-                    None
-                }
+                let candidate = values.get(*next).cloned();
+                *next += 1;
+                candidate
             }
         }
     }
@@ -379,8 +377,11 @@ impl CandSource<'_> {
                 range.get(pos)
             }
             CandSource::List { values, next } => {
-                *next = pos as usize + 1;
-                values[pos as usize].clone()
+                let i = values
+                    .binary_search_by_key(&pos, |(p, _)| *p)
+                    .expect("position was enumerated for this prefix");
+                *next = i + 1;
+                values[i].1.clone()
             }
         }
     }
@@ -394,16 +395,15 @@ struct ParamPlan {
 }
 
 /// A whole group's compiled generation plan: per-parameter lowered
-/// constraints plus precomputed structure (unconstrained-suffix marks for
-/// the counting shortcut).
+/// constraints plus the prefix/tail split of the packed group store.
 #[derive(Clone, Debug)]
 pub(crate) struct GroupPlan {
     params: Vec<ParamPlan>,
     names: Arc<[Arc<str>]>,
-    /// `unconstrained_tail[d]`: parameters `d..` all carry no constraint,
-    /// so the subtree below any prefix of length `d` has exactly
-    /// `∏ range.len()` leaves.
-    unconstrained_tail: Vec<bool>,
+    /// The first depth from which every parameter is unconstrained: the
+    /// subtree below any valid prefix of this length is the pure product
+    /// of the remaining ranges, so the walk stops here.
+    prefix_len: usize,
 }
 
 impl GroupPlan {
@@ -417,16 +417,14 @@ impl GroupPlan {
             })
             .collect();
         let names: Arc<[Arc<str>]> = group.params().iter().map(|p| p.name_arc()).collect();
-        let mut unconstrained_tail = vec![false; params.len()];
-        let mut all_clear = true;
-        for d in (0..params.len()).rev() {
-            all_clear &= params[d].node.is_none();
-            unconstrained_tail[d] = all_clear;
-        }
+        let prefix_len = params
+            .iter()
+            .rposition(|pp| pp.node.is_some())
+            .map_or(0, |last_constrained| last_constrained + 1);
         GroupPlan {
             params,
             names,
-            unconstrained_tail,
+            prefix_len,
         }
     }
 
@@ -440,8 +438,18 @@ impl GroupPlan {
         self.names.clone()
     }
 
-    pub(crate) fn param(&self, depth: usize) -> &Param {
-        &self.params[depth].param
+    /// Number of leading parameters the walk enumerates; the rest are the
+    /// unconstrained tail.
+    pub(crate) fn prefix_len(&self) -> usize {
+        self.prefix_len
+    }
+
+    /// Every parameter's range, in declaration order.
+    pub(crate) fn ranges(&self) -> Vec<Range> {
+        self.params
+            .iter()
+            .map(|pp| pp.param.range().clone())
+            .collect()
     }
 
     /// The candidate source for `depth` under the prefix `partial`: binds
@@ -486,10 +494,10 @@ impl GroupPlan {
                     // Enumerating divisors costs ~√t; take that path when
                     // it clearly beats scanning the window.
                     if t > 0 && isqrt(t).saturating_mul(4) < window {
-                        let values: Vec<Value> = divisors_in_window(t, *begin, *end, *step)
+                        let values = divisors_in_window(t, *begin, *end, *step)
                             .into_iter()
-                            .map(Value::UInt)
-                            .filter(|v| bound.check(v, partial))
+                            .map(|d| ((d - begin) / step, Value::UInt(d)))
+                            .filter(|(_, v)| bound.check(v, partial))
                             .collect();
                         return CandSource::List { values, next: 0 };
                     }
@@ -539,64 +547,111 @@ impl GroupPlan {
         }
     }
 
-    /// Depth-first generation walk from `depth` under `partial`, emitting
-    /// each complete valid value tuple. Identical output (values and
-    /// order) to the reference predicate-evaluation walk.
+    /// Depth-first generation walk below `prefix` down to
+    /// [`Self::prefix_len`], emitting the range positions of each valid
+    /// prefix row. Rows come out in exactly the order of the reference
+    /// predicate-evaluation walk; every row stands for the full product of
+    /// the tail ranges, last parameter fastest.
     pub(crate) fn walk(
         &self,
-        depth: usize,
-        partial: &mut Config,
-        values: &mut Vec<Value>,
-        emit: &mut impl FnMut(&[Value]) -> Result<(), SpaceError>,
+        prefix: &mut Prefix,
+        emit: &mut impl FnMut(&[u64]) -> Result<(), SpaceError>,
         cancel: Option<&AtomicBool>,
     ) -> Result<(), SpaceError> {
-        if depth == self.params.len() {
-            return emit(values);
-        }
         if let Some(flag) = cancel {
             if flag.load(Ordering::Relaxed) {
                 return Err(SpaceError::Cancelled);
             }
         }
-        let mut src = self.candidates(depth, partial);
-        while let Some((_, v)) = src.next(partial) {
-            partial.push(self.params[depth].param.name_arc(), v.clone());
-            values.push(v);
-            let r = self.walk(depth + 1, partial, values, emit, cancel);
-            values.pop();
-            partial.pop();
+        let depth = prefix.positions.len();
+        if depth == self.prefix_len {
+            return emit(&prefix.positions);
+        }
+        let mut src = self.candidates(depth, &prefix.config);
+        while let Some((pos, v)) = src.next(&prefix.config) {
+            prefix.push(pos, v);
+            let r = self.walk(prefix, emit, cancel);
+            prefix.pop();
             r?;
         }
         Ok(())
     }
 
-    /// Counts valid completions of the prefix at `depth` without
-    /// materializing them, short-cutting unconstrained suffixes to a
-    /// checked product of range sizes. Overflowing `u64` returns
+    /// Counts the group's valid configurations without storing anything:
+    /// prefix rows times the tail product. Overflowing `u64` returns
     /// [`SpaceError::Overflow`] — reachable for astronomically large
     /// unconstrained spaces where the count cannot be represented.
-    pub(crate) fn count_from(&self, depth: usize, partial: &mut Config) -> Result<u64, SpaceError> {
-        if depth == self.params.len() {
-            return Ok(1);
+    pub(crate) fn count(&self) -> Result<u64, SpaceError> {
+        let mut rows = 0u64;
+        let mut count_row = |_: &[u64]| {
+            rows += 1;
+            Ok(())
+        };
+        self.walk(&mut Prefix::new(self), &mut count_row, None)?;
+        configs(rows, tail_len(&self.ranges()[self.prefix_len..]))
+    }
+}
+
+/// Product of the tail ranges' sizes; `None` when it overflows `u64`.
+pub(crate) fn tail_len(tail: &[Range]) -> Option<u64> {
+    tail.iter()
+        .try_fold(1u64, |prod, range| prod.checked_mul(range.len()))
+}
+
+/// `rows · tail_len` configurations, checked. No row at all is an empty
+/// space whatever the tail.
+pub(crate) fn configs(rows: u64, tail_len: Option<u64>) -> Result<u64, SpaceError> {
+    if rows == 0 {
+        return Ok(0);
+    }
+    tail_len
+        .and_then(|tail| rows.checked_mul(tail))
+        .ok_or(SpaceError::Overflow)
+}
+
+/// The generation prefix: the partial configuration constraints are bound
+/// against, and the range position of each value fixed so far. A
+/// parameter's name is handed in when its value is pushed and taken back
+/// when it is popped, so a node of the walk costs neither an `Arc`
+/// refcount round-trip nor [`Config::push`]'s duplicate-name scan —
+/// [`ParamGroup::new`] asserted uniqueness once.
+pub(crate) struct Prefix {
+    config: Config,
+    positions: Vec<u64>,
+    /// Names of the parameters not fixed yet, deepest first.
+    spare: Vec<Arc<str>>,
+}
+
+impl Prefix {
+    /// The empty prefix of `plan`'s group.
+    pub(crate) fn new(plan: &GroupPlan) -> Self {
+        Prefix {
+            config: Config::with_capacity(plan.len()),
+            positions: Vec::with_capacity(plan.len()),
+            spare: plan.names.iter().rev().cloned().collect(),
         }
-        if self.unconstrained_tail[depth] {
-            let mut prod = 1u64;
-            for pp in &self.params[depth..] {
-                prod = prod
-                    .checked_mul(pp.param.range().len())
-                    .ok_or(SpaceError::Overflow)?;
-            }
-            return Ok(prod);
-        }
-        let mut n = 0u64;
-        let mut src = self.candidates(depth, partial);
-        while let Some((_, v)) = src.next(partial) {
-            partial.push(self.params[depth].param.name_arc(), v);
-            let r = self.count_from(depth + 1, partial);
-            partial.pop();
-            n = n.checked_add(r?).ok_or(SpaceError::Overflow)?;
-        }
-        Ok(n)
+    }
+
+    /// Fixes the next parameter at range position `pos`, whose value is `v`.
+    pub(crate) fn push(&mut self, pos: u64, v: Value) {
+        let name = self.spare.pop().expect("prefix is shorter than the group");
+        self.config.push_unique(name, v);
+        self.positions.push(pos);
+    }
+
+    /// Unfixes the most recently fixed parameter.
+    pub(crate) fn pop(&mut self) {
+        let (name, _) = self.config.pop().expect("prefix is not empty");
+        self.spare.push(name);
+        self.positions.pop();
+    }
+
+    pub(crate) fn config(&self) -> &Config {
+        &self.config
+    }
+
+    pub(crate) fn positions(&self) -> &[u64] {
+        &self.positions
     }
 }
 
@@ -607,28 +662,16 @@ mod tests {
     use crate::expr::{cst, param as p};
     use crate::param::{tp, tp_c};
 
+    fn rows(gs: &crate::space::GroupSpace) -> Vec<Vec<Value>> {
+        (0..gs.len()).map(|i| gs.values(i)).collect()
+    }
+
     fn enumerate(group: &ParamGroup) -> Vec<Vec<Value>> {
-        let plan = GroupPlan::compile(group);
-        let mut out = Vec::new();
-        let mut partial = Config::new();
-        let mut values = Vec::new();
-        plan.walk(
-            0,
-            &mut partial,
-            &mut values,
-            &mut |vals| {
-                out.push(vals.to_vec());
-                Ok(())
-            },
-            None,
-        )
-        .unwrap();
-        out
+        rows(&crate::space::GroupSpace::generate(group))
     }
 
     fn reference(group: &ParamGroup) -> Vec<Vec<Value>> {
-        let gs = crate::space::GroupSpace::generate_reference(group);
-        (0..gs.len()).map(|i| gs.values(i).to_vec()).collect()
+        rows(&crate::space::GroupSpace::generate_reference(group))
     }
 
     #[test]
@@ -711,8 +754,8 @@ mod tests {
             tp("C", Range::interval(1, 5)),
         ]);
         let plan = GroupPlan::compile(&g);
-        let n = plan.count_from(0, &mut Config::new()).unwrap();
-        assert_eq!(n as usize, enumerate(&g).len());
+        assert_eq!(plan.prefix_len(), 1);
+        assert_eq!(plan.count().unwrap() as usize, enumerate(&g).len());
     }
 
     #[test]
@@ -721,11 +764,7 @@ mod tests {
             tp("A", Range::interval(1, u64::MAX)),
             tp("B", Range::interval(1, u64::MAX)),
         ]);
-        let plan = GroupPlan::compile(&g);
-        assert_eq!(
-            plan.count_from(0, &mut Config::new()),
-            Err(SpaceError::Overflow)
-        );
+        assert_eq!(GroupPlan::compile(&g).count(), Err(SpaceError::Overflow));
     }
 
     #[test]

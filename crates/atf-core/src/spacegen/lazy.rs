@@ -18,7 +18,7 @@
 //! <LazySpace>` plugs a lazy space straight into a
 //! [`TuningSession`](crate::session::TuningSession).
 
-use super::compile::{CandSource, GroupPlan};
+use super::compile::{CandSource, GroupPlan, Prefix};
 use crate::config::Config;
 use crate::param::ParamGroup;
 use crate::space::SpaceError;
@@ -34,45 +34,27 @@ const CACHE_BLOCKS: usize = 8;
 pub const DEFAULT_BLOCK_SIZE: u64 = 1024;
 
 /// A resumable iterative enumerator over one group's valid configurations.
-/// Equivalent to the recursive generation walk, but with an explicit frame
-/// stack so the position after any emitted config can be snapshotted and
-/// restored.
+/// Equivalent to the reference walk over every parameter (it does not stop
+/// at the unconstrained tail), but with an explicit frame stack so the
+/// position after any emitted config can be snapshotted and restored.
 pub(crate) struct GroupCursor<'p> {
     plan: &'p GroupPlan,
-    partial: Config,
-    values: Vec<Value>,
-    frames: Vec<Frame<'p>>,
+    prefix: Prefix,
+    /// One candidate source per fixed parameter.
+    frames: Vec<CandSource<'p>>,
     started: bool,
     done: bool,
-}
-
-struct Frame<'p> {
-    src: CandSource<'p>,
-    /// Position of the currently chosen candidate (for snapshots).
-    cur: u64,
 }
 
 impl<'p> GroupCursor<'p> {
     pub(crate) fn new(plan: &'p GroupPlan) -> Self {
         GroupCursor {
             plan,
-            partial: Config::new(),
-            values: Vec::with_capacity(plan.len()),
+            prefix: Prefix::new(plan),
             frames: Vec::with_capacity(plan.len()),
             started: false,
             done: false,
         }
-    }
-
-    fn push_value(&mut self, depth: usize, v: Value) {
-        self.partial
-            .push(self.plan.param(depth).name_arc(), v.clone());
-        self.values.push(v);
-    }
-
-    fn pop_value(&mut self) {
-        self.values.pop();
-        self.partial.pop();
     }
 
     /// Fills frames from `d0` to the last depth with the first valid
@@ -83,10 +65,10 @@ impl<'p> GroupCursor<'p> {
         let n = self.plan.len();
         let mut d = d0;
         'outer: loop {
-            let mut src = self.plan.candidates(d, &self.partial);
-            if let Some((pos, v)) = src.next(&self.partial) {
-                self.frames.push(Frame { src, cur: pos });
-                self.push_value(d, v);
+            let mut src = self.plan.candidates(d, self.prefix.config());
+            if let Some((pos, v)) = src.next(self.prefix.config()) {
+                self.frames.push(src);
+                self.prefix.push(pos, v);
                 if d + 1 == n {
                     return true;
                 }
@@ -99,11 +81,10 @@ impl<'p> GroupCursor<'p> {
                     return false;
                 }
                 d -= 1;
-                self.pop_value();
-                let f = self.frames.last_mut().expect("frame at depth d");
-                if let Some((pos, v)) = f.src.next(&self.partial) {
-                    f.cur = pos;
-                    self.push_value(d, v);
+                self.prefix.pop();
+                let src = self.frames.last_mut().expect("frame at depth d");
+                if let Some((pos, v)) = src.next(self.prefix.config()) {
+                    self.prefix.push(pos, v);
                     d += 1;
                     continue 'outer;
                 }
@@ -112,8 +93,8 @@ impl<'p> GroupCursor<'p> {
         }
     }
 
-    /// Advances to the next valid configuration; returns its value tuple.
-    pub(crate) fn next(&mut self) -> Option<&[Value]> {
+    /// Advances to the next valid configuration.
+    pub(crate) fn next(&mut self) -> Option<&Config> {
         if self.done {
             return None;
         }
@@ -124,17 +105,16 @@ impl<'p> GroupCursor<'p> {
                 self.done = true;
                 return None;
             }
-            return Some(&self.values);
+            return Some(self.prefix.config());
         }
         loop {
             let d = self.frames.len() - 1;
-            self.pop_value();
-            let f = self.frames.last_mut().expect("frame at depth d");
-            if let Some((pos, v)) = f.src.next(&self.partial) {
-                f.cur = pos;
-                self.push_value(d, v);
+            self.prefix.pop();
+            let src = self.frames.last_mut().expect("frame at depth d");
+            if let Some((pos, v)) = src.next(self.prefix.config()) {
+                self.prefix.push(pos, v);
                 if d + 1 == n || self.descend(d + 1) {
-                    return Some(&self.values);
+                    return Some(self.prefix.config());
                 }
                 continue; // deeper subtree empty: advance depth d again
             }
@@ -146,30 +126,29 @@ impl<'p> GroupCursor<'p> {
         }
     }
 
-    /// The per-depth candidate positions of the configuration the cursor
+    /// The per-depth range positions of the configuration the cursor
     /// currently points at. Valid only right after [`Self::next`] returned
     /// `Some`.
     pub(crate) fn snapshot(&self) -> Vec<u64> {
         debug_assert_eq!(self.frames.len(), self.plan.len());
-        self.frames.iter().map(|f| f.cur).collect()
+        self.prefix.positions().to_vec()
     }
 
     /// Repositions the cursor at a previously snapshotted configuration and
-    /// returns its value tuple. The positions are trusted — they were valid
-    /// when snapshotted, and candidate sources are deterministic per prefix.
-    pub(crate) fn restore(&mut self, positions: &[u64]) -> &[Value] {
-        self.partial = Config::new();
-        self.values.clear();
+    /// returns it. The positions are trusted — they were valid when
+    /// snapshotted, and candidate sources are deterministic per prefix.
+    pub(crate) fn restore(&mut self, positions: &[u64]) -> &Config {
+        self.prefix = Prefix::new(self.plan);
         self.frames.clear();
         self.started = true;
         self.done = false;
         for (d, &pos) in positions.iter().enumerate() {
-            let mut src = self.plan.candidates(d, &self.partial);
+            let mut src = self.plan.candidates(d, self.prefix.config());
             let v = src.seek(pos);
-            self.frames.push(Frame { src, cur: pos });
-            self.push_value(d, v);
+            self.frames.push(src);
+            self.prefix.push(pos, v);
         }
-        &self.values
+        self.prefix.config()
     }
 }
 
@@ -251,11 +230,12 @@ impl LazyGroup {
         let count = self.block_size.min(self.len - start) as usize;
         let mut configs = Vec::with_capacity(count);
         let mut cursor = GroupCursor::new(&self.plan);
-        let first = cursor.restore(&self.checkpoints[block as usize]);
-        configs.push(first.to_vec().into_boxed_slice());
+        let values = |cfg: &Config| cfg.iter().map(|(_, v)| v.clone()).collect();
+        configs.push(values(cursor.restore(&self.checkpoints[block as usize])));
         while configs.len() < count {
-            let vals = cursor.next().expect("count pass said configs exist");
-            configs.push(vals.to_vec().into_boxed_slice());
+            configs.push(values(
+                cursor.next().expect("count pass said configs exist"),
+            ));
         }
         let entry = Arc::new(configs);
         cache.blocks.push_back((block, entry.clone()));

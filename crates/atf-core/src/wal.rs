@@ -308,51 +308,7 @@ mod tests {
     use crate::config::Config;
     use crate::db::{DatabaseLog, TuningRecord};
     use crate::journal::{JournalEntry, JournalHeader, JOURNAL_VERSION};
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    /// Counts the bytes the *current thread* has live on the heap, so a
-    /// test can bound what a decoder allocates for a hostile input while
-    /// the other tests of this binary run beside it.
-    struct CountingAlloc;
-
-    thread_local! {
-        static LIVE: Cell<usize> = const { Cell::new(0) };
-        static PEAK: Cell<usize> = const { Cell::new(0) };
-    }
-
-    // SAFETY: every call is forwarded unchanged to `System`, which upholds
-    // the `GlobalAlloc` contract; the bookkeeping touches only
-    // const-initialised thread-locals (no allocation, no drop glue) and
-    // ignores a thread-local that is already torn down.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = LIVE.try_with(|live| {
-                live.set(live.get() + layout.size());
-                let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-            });
-            // SAFETY: the caller upholds `alloc`'s contract for `layout`.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(layout.size())));
-            // SAFETY: `ptr` came from `alloc` above, i.e. from `System`,
-            // with this `layout`.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static ALLOC: CountingAlloc = CountingAlloc;
-
-    /// Peak bytes `f` had live on this thread beyond what was live before.
-    fn peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        let before = LIVE.with(Cell::get);
-        PEAK.with(|peak| peak.set(before));
-        let out = f();
-        (out, PEAK.with(Cell::get) - before)
-    }
+    use crate::test_alloc::peak_alloc;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("atf-wal-{tag}-{}", std::process::id()));

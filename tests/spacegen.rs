@@ -2,8 +2,9 @@
 //! (`atf_core::spacegen`): compiled-constraint generation must be
 //! bit-identical to the reference predicate walk on randomized specs,
 //! chunked parallel generation must be bit-identical at any thread count,
-//! lazy spaces must agree with materialized ones through the whole
-//! indexable-space interface, oversized counts must fail structurally,
+//! at every code width and tail shape of the packed group store, lazy
+//! spaces must agree with generated ones through the whole indexable-space
+//! interface, oversized counts and spaces must fail structurally,
 //! and the service's spec-keyed space cache must survive a restart.
 
 use atf_core::constraint::{divides, equal, greater_than, is_multiple_of, less_than, unequal};
@@ -14,80 +15,138 @@ use atf_core::spacegen::generate_group_chunked;
 use atf_core::trace::NullSink;
 use proptest::prelude::*;
 
+/// The leading parameter decides the width of the packed store's codes: a
+/// menu with prefix ranges of at most 256, at most 65 536 and more than
+/// 65 536 positions, scanned windows and divisor lists, and a stepped
+/// divisor list whose list index is not the range position. (More than
+/// 2³² positions is `codes_wider_than_32_bits_decode_exactly`: the
+/// reference walk cannot scan such a range.)
+fn leading_param(shape: u8) -> Param {
+    match shape {
+        0 => tp("Q0", Range::interval(1, 12)),
+        1 => tp_c("Q0", Range::interval(1, 200), divides(cst(120u64))),
+        2 => tp_c(
+            "Q0",
+            Range::interval_step(2, 40_000, 2),
+            divides(cst(27_720u64)),
+        ),
+        3 => tp_c("Q0", Range::interval(1, 100_000), divides(cst(83_160u64))),
+        _ => tp_c(
+            "Q0",
+            Range::interval(1, 70_000),
+            greater_than(cst(69_990u64)),
+        ),
+    }
+}
+
 /// Strategy: a random constrained group mixing every compilable alias
-/// atom plus unconstrained parameters — the shapes the constraint
-/// compiler must reproduce exactly.
+/// atom, an opaque predicate and unconstrained parameters over plain,
+/// stepped and generator intervals, float intervals and integer and
+/// `Symbol` sets — the shapes the constraint compiler and the packed store
+/// must reproduce exactly. `tail` forces each of the three tail shapes now
+/// and then: an empty tail (last parameter constrained), a two-parameter
+/// tail, and a wholly unconstrained group.
 fn random_group() -> impl Strategy<Value = ParamGroup> {
     let names = ["Q0", "Q1", "Q2", "Q3", "Q4"];
     (
         2usize..=5,                          // number of parameters
+        0u8..5,                              // leading-parameter shape
         prop::collection::vec(1u64..=14, 5), // range ends
-        prop::collection::vec(0u8..9, 5),    // constraint selector per param
+        prop::collection::vec(0u8..6, 5),    // range shape per param
+        prop::collection::vec(0u8..10, 5),   // constraint selector per param
+        0u8..6,                              // tail shape
     )
-        .prop_map(move |(n, ends, kinds)| {
-            let mut params: Vec<Param> = Vec::new();
-            for i in 0..n {
+        .prop_map(move |(n, lead, ends, shapes, kinds, tail)| {
+            let mut params = vec![leading_param(lead)];
+            for i in 1..n {
                 let name = names[i];
-                let range = Range::interval(1, ends[i].max(1));
-                let p = if i == 0 {
+                let end = ends[i];
+                let range = match shapes[i] {
+                    0 | 1 => Range::interval(1, end),
+                    2 => Range::interval_step(2, 2 + 3 * end, 3),
+                    3 => Range::interval_gen(0, end.min(6), |i| 1u64 << i),
+                    4 => Range::float_interval(0.5, 0.5 * end as f64, 0.5),
+                    _ => Range::set(["a", "b", "c"]),
+                };
+                let prev = names[i - 1];
+                let unconstrained = match tail {
+                    0 => i + 1 < n && kinds[i] == 0,  // empty tail
+                    1 => i + 2 >= n || kinds[i] == 0, // two-parameter tail
+                    2 => true,                        // k = 0 (given lead 0)
+                    _ => kinds[i] == 0,
+                };
+                params.push(if unconstrained {
                     tp(name, range)
                 } else {
-                    let prev = names[i - 1];
-                    match kinds[i] {
-                        0 => tp(name, range),
-                        1 => tp_c(name, range, divides(param(prev))),
-                        2 => tp_c(name, range, is_multiple_of(param(prev))),
-                        3 => tp_c(name, range, divides(param(prev)) & unequal(param(prev))),
-                        4 => tp_c(
-                            name,
-                            range,
-                            less_than(param(prev) * 2u64) | greater_than(cst(6u64)),
-                        ),
-                        5 => tp_c(name, range, less_than(param(prev)).not()),
+                    let c = match kinds[i] {
+                        0 | 1 => divides(param("Q0")),
+                        2 => is_multiple_of(param(prev)),
+                        3 => divides(param("Q0")) & unequal(param(prev)),
+                        4 => less_than(param(prev) * 2u64) | greater_than(cst(6u64)),
+                        5 => less_than(param(prev)).not(),
                         // Comparison conjuncts: the interval-tightening
                         // paths (dynamic and constant thresholds, both
                         // cut directions, exact equality).
-                        6 => tp_c(name, range, greater_than(param(prev)) & divides(cst(12u64))),
-                        7 => tp_c(name, range, equal(param(prev))),
-                        _ => tp_c(name, range, greater_than(cst(3u64)) & less_than(cst(11u64))),
-                    }
-                };
-                params.push(p);
+                        6 => greater_than(param(prev)) & divides(cst(12u64)),
+                        7 => equal(param(prev)),
+                        8 => greater_than(cst(3u64)) & less_than(cst(11u64)),
+                        _ => atf_core::constraint::predicate("not b, not 2", |v, _| {
+                            *v != Value::Symbol("b".into()) && *v != Value::UInt(2)
+                        }),
+                    };
+                    tp_c(name, range, c)
+                });
             }
             ParamGroup::new(params)
         })
 }
 
 fn flatten(gs: &GroupSpace) -> Vec<Vec<Value>> {
-    (0..gs.len()).map(|i| gs.values(i).to_vec()).collect()
+    (0..gs.len()).map(|i| gs.values(i)).collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The compiled generator and the per-candidate reference walk agree
-    /// exactly — same configurations, same order.
+    /// exactly — same configurations, same order, row by row and through
+    /// `SearchSpace::get` — and the count agrees with both.
     #[test]
     fn compiled_equals_reference(group in random_group()) {
         let reference = GroupSpace::generate_reference(&group);
         let compiled = GroupSpace::generate(&group);
         prop_assert_eq!(reference.names(), compiled.names());
         prop_assert_eq!(flatten(&reference), flatten(&compiled));
-    }
-
-    /// Chunked generation is bit-identical to sequential output at 1, 2,
-    /// and 8 threads.
-    #[test]
-    fn chunked_is_bit_identical_at_any_thread_count(group in random_group()) {
-        let sequential = flatten(&GroupSpace::generate(&group));
-        for threads in [1usize, 2, 8] {
-            let chunked = generate_group_chunked(&group, threads, u64::MAX, None, &NullSink, 0)
-                .expect("unlimited generation cannot fail");
-            prop_assert_eq!(&sequential, &flatten(&chunked), "threads = {}", threads);
+        prop_assert_eq!(GroupSpace::count(&group), Ok(compiled.len()));
+        let space = SearchSpace::from_group_spaces(vec![compiled]);
+        for i in 0..reference.len() {
+            let got = space.get(u128::from(i));
+            let names: Vec<&str> = reference.names().iter().map(|n| n.as_ref()).collect();
+            prop_assert_eq!(got.names().collect::<Vec<_>>(), names);
+            let values: Vec<Value> = got.iter().map(|(_, v)| v.clone()).collect();
+            prop_assert_eq!(values, reference.values(i));
         }
     }
 
-    /// A lazy space agrees with the materialized space through the whole
+    /// Chunked generation is bit-identical to sequential output at 1, 2,
+    /// 3 and 8 threads, and the limit counts configurations, not rows.
+    #[test]
+    fn chunked_is_bit_identical_at_any_thread_count(group in random_group()) {
+        let sequential = GroupSpace::generate(&group);
+        let len = sequential.len();
+        let sequential = flatten(&sequential);
+        for threads in [1usize, 2, 3, 8] {
+            let chunked = generate_group_chunked(&group, threads, len, None, &NullSink, 0)
+                .expect("a limit of exactly the size admits the space");
+            prop_assert_eq!(&sequential, &flatten(&chunked), "threads = {}", threads);
+            if len > 0 {
+                let short = generate_group_chunked(&group, threads, len - 1, None, &NullSink, 0);
+                prop_assert_eq!(short.err(), Some(SpaceError::TooLarge { limit: len - 1 }));
+            }
+        }
+    }
+
+    /// A lazy space agrees with the generated space through the whole
     /// indexable interface: len, dims, get, and decompose/compose
     /// round-trips.
     #[test]
@@ -104,6 +163,91 @@ proptest! {
             prop_assert_eq!(lazy.compose(&coords), i);
         }
     }
+}
+
+/// A `divides` constraint on `interval(1, 1 << 40)` stores positions past
+/// 2³² — eight-byte codes. The reference walk cannot scan that range, so
+/// the oracle is arithmetic: every divisor of `n` ascending, below it the
+/// divisors of that value up to 8, below those the two symbols.
+#[test]
+fn codes_wider_than_32_bits_decode_exactly() {
+    let n = (1u64 << 36) * 15;
+    let group = ParamGroup::new(vec![
+        tp_c("A", Range::interval(1, 1 << 40), divides(cst(n))),
+        tp_c("B", Range::interval(1, 8), divides(param("A"))),
+        tp("C", Range::set(["x", "y"])),
+    ]);
+    let mut want = Vec::new();
+    for twos in 0..=36 {
+        for odd in [1u64, 3, 5, 15] {
+            want.push((1u64 << twos) * odd);
+        }
+    }
+    want.sort_unstable();
+    let want: Vec<Vec<Value>> = want
+        .iter()
+        .flat_map(|&a| (1..=8u64).filter(move |b| a % b == 0).map(move |b| (a, b)))
+        .flat_map(|(a, b)| ["x", "y"].map(|c| vec![a.into(), b.into(), c.into()]))
+        .collect();
+    assert!(want.iter().any(|row| row[0] > Value::UInt(1 << 32)));
+    for threads in [1usize, 2, 3, 8] {
+        let space = generate_group_chunked(&group, threads, u64::MAX, None, &NullSink, 0)
+            .expect("unlimited generation cannot fail");
+        assert_eq!(flatten(&space), want, "threads = {threads}");
+    }
+    assert_eq!(GroupSpace::count(&group), Ok(want.len() as u64));
+}
+
+/// A wholly unconstrained group stores no row at all (`k = 0`): its size
+/// is the product of its ranges whatever that is, a limit still counts
+/// configurations, and cancellation is still seen.
+#[test]
+fn unconstrained_groups_are_indexed_not_stored() {
+    use std::sync::atomic::AtomicBool;
+
+    let group = ParamGroup::new(vec![
+        tp("A", Range::interval(1, 1 << 20)),
+        tp("B", Range::set(["a", "b", "c"])),
+        tp("C", Range::float_interval(0.0, 1.0, 0.25)),
+    ]);
+    let len = (1u64 << 20) * 3 * 5;
+    for threads in [1usize, 4] {
+        let generate =
+            |limit, cancel| generate_group_chunked(&group, threads, limit, cancel, &NullSink, 0);
+        let space = generate(len, None).expect("limit = len admits the space");
+        assert_eq!(space.len(), len);
+        assert_eq!(
+            space.values(len - 1),
+            vec![(1u64 << 20).into(), "c".into(), 1.0.into()]
+        );
+        assert_eq!(space.values(7), vec![1u64.into(), "b".into(), 0.5.into()]);
+        assert_eq!(
+            generate(len - 1, None).err(),
+            Some(SpaceError::TooLarge { limit: len - 1 })
+        );
+        let cancelled = AtomicBool::new(true);
+        assert_eq!(
+            generate(u64::MAX, Some(&cancelled)).err(),
+            Some(SpaceError::Cancelled)
+        );
+    }
+}
+
+/// Rows times the unconstrained tail can exceed `u64` although both
+/// factors fit: a structured error, from generation as from counting.
+#[test]
+fn rows_times_tail_overflow_is_a_structured_error() {
+    let group = ParamGroup::new(vec![
+        tp_c("A", Range::set([1u64, 2, 3]), less_than(cst(10u64))),
+        tp("B", Range::interval(0, u64::MAX - 1)),
+    ]);
+    for threads in [1usize, 4] {
+        let generated = generate_group_chunked(&group, threads, u64::MAX, None, &NullSink, 0);
+        assert_eq!(generated.err(), Some(SpaceError::Overflow));
+        let limited = generate_group_chunked(&group, threads, 1 << 40, None, &NullSink, 0);
+        assert_eq!(limited.err(), Some(SpaceError::TooLarge { limit: 1 << 40 }));
+    }
+    assert_eq!(GroupSpace::count(&group), Err(SpaceError::Overflow));
 }
 
 /// Comparison atoms *tighten* the scan window instead of filtering their
