@@ -210,14 +210,6 @@ pub struct RunOptions {
     /// (doubling with jitter each attempt; `None` = 200 ms). Local runs
     /// ignore it.
     pub reconnect_backoff: Option<std::time::Duration>,
-    /// Directory of the persistent space cache (local runs only). The
-    /// generated search space is keyed by a content hash of the parameter
-    /// spec; a later run with an identical spec loads it from disk instead
-    /// of regenerating.
-    pub space_cache: Option<PathBuf>,
-    /// Cap the space cache's total size in megabytes; exceeding it evicts
-    /// least-recently-used entries after each store (`None` = unbounded).
-    pub space_cache_max_mb: Option<u64>,
     /// Campaign wiring for this run, when it executes as a campaign node:
     /// the shared budget and cancel flag are composed into the session's
     /// abort condition (budget charged at handout granularity), and the
@@ -271,12 +263,8 @@ pub struct CliOutcome {
     /// Why journaling degraded mid-run, if it did: the journal hit a write
     /// error (full disk, permissions) and the session finished in-memory.
     pub journal_degraded: Option<String>,
-    /// Wall-clock time spent obtaining the search space (generation, or a
-    /// cache load), milliseconds.
+    /// Wall-clock time spent generating the search space, milliseconds.
     pub space_gen_ms: u64,
-    /// Whether the space came from the persistent cache (`None` when no
-    /// cache was configured).
-    pub space_cache_hit: Option<bool>,
 }
 
 /// Runs a tuning specification end to end, guarded by `opts`: measurement
@@ -298,13 +286,8 @@ pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliE
         })?),
         None => Arc::new(NullSink),
     };
-    let (space, space_build) = atf_core::spacegen::space_from_spec(
-        &spec.parameters,
-        opts.space_cache.as_deref(),
-        None,
-        opts.space_cache_max_mb.map(|mb| mb * 1024 * 1024),
-        trace.as_ref(),
-    )?;
+    let (space, space_build) =
+        atf_core::spacegen::space_from_spec(&spec.parameters, trace.as_ref())?;
     let policy = opts.policy();
     let workers = opts.workers.max(1);
     let space_len = space.len();
@@ -399,7 +382,6 @@ pub fn run_with(spec: &TuningSpec, opts: &RunOptions) -> Result<CliOutcome, CliE
         metrics: snapshot,
         journal_degraded,
         space_gen_ms: space_build.elapsed.as_millis() as u64,
-        space_cache_hit: space_build.cache_hit,
     })
 }
 
@@ -600,14 +582,8 @@ pub fn report(outcome: &CliOutcome) -> String {
     let r = &outcome.result;
     let mut out = String::new();
     out.push_str(&format!(
-        "search space: {} valid configurations ({} ms{})\n",
-        r.space_size,
-        outcome.space_gen_ms,
-        match outcome.space_cache_hit {
-            Some(true) => ", space cache hit",
-            Some(false) => ", space cache miss",
-            None => "",
-        }
+        "search space: {} valid configurations ({} ms)\n",
+        r.space_size, outcome.space_gen_ms
     ));
     out.push_str(&format!(
         "evaluated:    {} ({} valid, {} failed)\n",
@@ -882,32 +858,34 @@ mod tests {
     }
 
     /// `atf-tune run` and the service's `open` share one spec → space step:
-    /// a space either of them stored is a cache hit for the other, and both
-    /// stream the step's `space_cache` / `space_gen` events to their sink.
+    /// the same spec yields the same space through either, both stream the
+    /// step's `space_*` events to their sink, and both record the build in
+    /// their session's metrics.
     #[cfg(unix)]
     #[test]
-    fn run_and_service_open_share_the_space_cache() {
-        let dir = fresh_dir("shared-cache");
+    fn run_and_service_open_share_the_spec_to_space_step() {
+        let dir = fresh_dir("shared-step");
         let source = dir.join("prog.sh");
-        write_executable(&source, "echo $ATF_TP_X > \"$ATF_LOG_FILE\"");
+        write_executable(&source, "echo $ATF_TP_B > \"$ATF_LOG_FILE\"");
         let run_sh = dir.join("run.sh");
         write_executable(&run_sh, "sh \"$ATF_SOURCE\"");
-        let spec_for = |divisor_of: u64| {
-            TuningSpec::from_json(&format!(
-                r#"{{
-                  "program": {{"source": "{}", "run": "{}", "log_file": "{}"}},
-                  "parameters": [{{"name": "X", "interval": {{"begin": 1, "end": {divisor_of}}},
-                                   "constraint": "divides({divisor_of})"}}],
-                  "search": {{"technique": "exhaustive"}},
-                  "kernel_name": "shared-cache-{divisor_of}"
-                }}"#,
-                source.display(),
-                run_sh.display(),
-                dir.join("cost.log").display()
-            ))
-            .unwrap()
-        };
-        let cache_dir = dir.join("space-cache");
+        // ~200 k configurations over 20 k prefixes: generation cannot round
+        // to 0 ms, so `space_gen_ms` shows whether it was recorded.
+        let spec = TuningSpec::from_json(&format!(
+            r#"{{
+              "program": {{"source": "{}", "run": "{}", "log_file": "{}"}},
+              "parameters": [{{"name": "A", "interval": {{"begin": 1, "end": 20000}}}},
+                             {{"name": "B", "interval": {{"begin": 1, "end": 20000}},
+                               "constraint": "divides(A)"}}],
+              "search": {{"technique": "random", "seed": 1}},
+              "abort": {{"evaluations": 2}},
+              "kernel_name": "shared-step"
+            }}"#,
+            source.display(),
+            run_sh.display(),
+            dir.join("cost.log").display()
+        ))
+        .unwrap();
         let kinds = |events: &[TraceEvent]| -> Vec<String> {
             let mut kinds: Vec<_> = events
                 .iter()
@@ -917,54 +895,40 @@ mod tests {
             kinds.dedup();
             kinds
         };
-        let run_local = |spec: &TuningSpec, tag: &str| {
-            let trace_path = dir.join(format!("{tag}.ndjson"));
-            let outcome = run_with(
-                spec,
-                &RunOptions {
-                    space_cache: Some(cache_dir.clone()),
-                    trace: Some(trace_path.clone()),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let events: Vec<TraceEvent> = std::fs::read_to_string(&trace_path)
-                .unwrap()
-                .lines()
-                .map(|l| serde_json::from_str(l).unwrap())
-                .collect();
-            (outcome.space_cache_hit, kinds(&events))
-        };
-        let open_remote = |spec: &TuningSpec| {
-            let sink = Arc::new(MemorySink::new());
-            let manager = Arc::new(
-                atf_service::SessionManager::new(atf_service::ManagerConfig {
-                    space_cache: Some(cache_dir.clone()),
-                    ..Default::default()
-                })
-                .unwrap()
-                .with_trace(sink.clone()),
-            );
-            let mut client = atf_service::Client::loopback(manager);
-            let id = client.open(&session_spec(spec)).unwrap();
-            let stats = client.stats(&id).unwrap();
-            (
-                (stats.space_cache_hits, stats.space_cache_misses),
-                kinds(&sink.take()),
-            )
-        };
-        let miss = ["space_cache", "space_gen"].map(String::from).to_vec();
-        let hit = vec!["space_cache".to_string()];
 
-        // Stored by `run`, hit by the service.
+        let trace_path = dir.join("run.ndjson");
+        let outcome = run_with(
+            &spec,
+            &RunOptions {
+                trace: Some(trace_path.clone()),
+                metrics: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let run_events: Vec<TraceEvent> = std::fs::read_to_string(&trace_path)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+
+        let sink = Arc::new(MemorySink::new());
+        let manager = Arc::new(atf_service::SessionManager::in_memory().with_trace(sink.clone()));
+        let mut client = atf_service::Client::loopback(manager);
+        let id = client.open(&session_spec(&spec)).unwrap();
+        let status = client.status(&id).unwrap();
+        let stats = client.stats(&id).unwrap();
+
         assert_eq!(
-            run_local(&spec_for(24), "run-first"),
-            (Some(false), miss.clone())
+            status.space_size,
+            Some(outcome.result.space_size.to_string())
         );
-        assert_eq!(open_remote(&spec_for(24)), ((1, 0), hit.clone()));
-        // Stored by the service, hit by `run`.
-        assert_eq!(open_remote(&spec_for(36)), ((0, 1), miss));
-        assert_eq!(run_local(&spec_for(36), "run-second"), (Some(true), hit));
+        let run_kinds = kinds(&run_events);
+        assert_eq!(run_kinds.last().map(String::as_str), Some("space_gen"));
+        assert_eq!(kinds(&sink.take()), run_kinds);
+        assert!(outcome.space_gen_ms > 0);
+        assert_eq!(outcome.metrics.unwrap().space_gen_ms, outcome.space_gen_ms);
+        assert!(stats.space_gen_ms > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

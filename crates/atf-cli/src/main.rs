@@ -61,24 +61,14 @@ and an optional tuning database to record the best configuration.
                      1 = serial). With --resume the journal's recorded
                      pending window takes precedence over N.
   --trace PATH       Write a structured NDJSON event trace (space_gen,
-                     space_chunk, space_cache, handout, report, eval,
-                     retry, breaker, abort, worker_busy, worker_idle,
-                     proc) to PATH.
-  --space-cache DIR  Persist generated search spaces in DIR, keyed by a
-                     content hash of the parameter spec; a later run with
-                     an identical spec loads the space instead of
-                     regenerating it.
-  --space-cache-max-mb MB
-                     Cap the space cache at MB megabytes total; exceeding
-                     it evicts least-recently-used entries (default:
-                     unbounded).
+                     space_chunk, handout, report, eval, retry, breaker,
+                     abort, worker_busy, worker_idle, proc) to PATH.
   --metrics          Print a metrics summary after the run: eval-latency
                      histogram, failure taxonomy, window occupancy,
                      worker utilization, configs/sec, space generation.";
 
 const SERVE_USAGE: &str = "usage: atf-tune serve [--addr HOST:PORT] [--db PATH] [--idle-secs N]
                       [--journal-dir DIR] [--eval-deadline-secs N]
-                      [--space-cache DIR] [--space-cache-max-mb MB]
                       [--max-sessions N] [--max-per-tenant N]
                       [--max-inflight N] [--max-connections N]
                       [--drain-secs N] [--shards N]
@@ -98,14 +88,6 @@ exits within the drain deadline.
   --eval-deadline-secs N
                      Auto-fail a handed-out configuration as a `timeout`
                      when no report arrives within N seconds.
-  --space-cache DIR  Persist generated search spaces in DIR, keyed by a
-                     content hash of the parameter spec, so re-opening a
-                     session after a restart skips regeneration. Defaults
-                     to `<db dir>/space-cache` when --db is given.
-  --space-cache-max-mb MB
-                     Cap the space cache at MB megabytes total; exceeding
-                     it evicts least-recently-used entries (default:
-                     unbounded).
   --max-sessions N   Admit at most N live sessions across all tenants;
                      an `open` beyond it is answered `overloaded` with a
                      retry_after_ms hint (default: unlimited).
@@ -246,6 +228,19 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
     }
 }
 
+/// What is left of `args` once every known flag is taken: at most `max`
+/// positional arguments. A leftover `--x` is named as an unknown option
+/// instead of passing for a path.
+fn positionals(args: &[String], max: usize) -> Result<&[String], String> {
+    if let Some(option) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown option `{option}`"));
+    }
+    match args.get(max) {
+        Some(extra) => Err(format!("unexpected argument `{extra}`")),
+        None => Ok(args),
+    }
+}
+
 /// Pops a bare `--flag` from `args`; returns whether it was present.
 fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     match args.iter().position(|a| a == flag) {
@@ -301,8 +296,6 @@ fn take_run_options(
         metrics: take_switch(args, "--metrics"),
         strict_journal: false,
         reconnect_backoff: None,
-        space_cache: None,
-        space_cache_max_mb: None,
         campaign: None,
     };
     if with_journal {
@@ -312,8 +305,6 @@ fn take_run_options(
         }
         opts.trace = take_flag(args, "--trace")?.map(Into::into);
         opts.strict_journal = take_switch(args, "--strict-journal");
-        opts.space_cache = take_flag(args, "--space-cache")?.map(Into::into);
-        opts.space_cache_max_mb = take_u32_flag(args, "--space-cache-max-mb")?.map(u64::from);
     } else {
         opts.reconnect_backoff =
             take_u32_flag(args, "--backoff-ms")?.map(|ms| Duration::from_millis(u64::from(ms)));
@@ -329,10 +320,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
     let parsed = (|| -> Result<(String, atf_cli::RunOptions), String> {
         let opts = take_run_options(&mut args, true)?;
-        match args.as_slice() {
+        match positionals(&args, 1)? {
             [path] => Ok((path.clone(), opts)),
-            [] => Err("need a <spec.json>".to_string()),
-            [_, extra, ..] => Err(format!("unexpected argument `{extra}`")),
+            _ => Err("need a <spec.json>".to_string()),
         }
     })();
     let (path, opts) = match parsed {
@@ -406,10 +396,9 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         // campaign runner's decision.
         let resume = node_opts.resume;
         node_opts.resume = false;
-        let path = match args.as_slice() {
+        let path = match positionals(&args, 1)? {
             [path] => path.clone(),
-            [] => return Err("need a <campaign.json>".to_string()),
-            [_, extra, ..] => return Err(format!("unexpected argument `{extra}`")),
+            _ => return Err("need a <campaign.json>".to_string()),
         };
         Ok(Parsed {
             path,
@@ -482,8 +471,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         idle_secs: u64,
         journal_dir: Option<String>,
         eval_deadline: Option<Duration>,
-        space_cache: Option<String>,
-        space_cache_max_mb: Option<u64>,
         max_sessions: Option<usize>,
         max_per_tenant: Option<usize>,
         max_inflight: Option<usize>,
@@ -508,8 +495,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             idle_secs,
             journal_dir: take_flag(&mut args, "--journal-dir")?,
             eval_deadline: take_secs_flag(&mut args, "--eval-deadline-secs")?,
-            space_cache: take_flag(&mut args, "--space-cache")?,
-            space_cache_max_mb: take_u32_flag(&mut args, "--space-cache-max-mb")?.map(u64::from),
             max_sessions: take_u32_flag(&mut args, "--max-sessions")?.map(|n| n as usize),
             max_per_tenant: take_u32_flag(&mut args, "--max-per-tenant")?.map(|n| n as usize),
             max_inflight: take_u32_flag(&mut args, "--max-inflight")?.map(|n| n as usize),
@@ -519,9 +504,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             io_threads: take_u32_flag(&mut args, "--io-threads")?.map(|n| n as usize),
             handlers: take_u32_flag(&mut args, "--handlers")?.map(|n| n as usize),
         };
-        if let Some(extra) = args.first() {
-            return Err(format!("unexpected argument `{extra}`"));
-        }
+        positionals(&args, 0)?;
         Ok(parsed)
     })();
     let serve = match parsed {
@@ -534,23 +517,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
 
     let db_path: Option<std::path::PathBuf> = serve.db.map(Into::into);
-    // With persistence configured but no explicit cache directory, keep the
-    // space cache next to the database so a restarted service reuses it.
-    let space_cache: Option<std::path::PathBuf> = serve.space_cache.map(Into::into).or_else(|| {
-        db_path.as_ref().map(|p| {
-            p.parent()
-                .unwrap_or(std::path::Path::new("."))
-                .join("space-cache")
-        })
-    });
     let manager = match atf_service::SessionManager::new(atf_service::ManagerConfig {
         db_path,
         idle_timeout: Duration::from_secs(serve.idle_secs),
         journal_dir: serve.journal_dir.map(Into::into),
         eval_deadline: serve.eval_deadline,
-        space_cache,
-        space_cache_max_entries: None,
-        space_cache_max_bytes: serve.space_cache_max_mb.map(|mb| mb * 1024 * 1024),
         admission: atf_service::AdmissionConfig {
             max_sessions: serve.max_sessions,
             max_sessions_per_tenant: serve.max_per_tenant,
@@ -609,9 +580,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
         if let Some(kernel) = take_flag(&mut args, "--lookup")? {
             let device = take_flag(&mut args, "--device")?;
             let workload = take_flag(&mut args, "--workload")?;
-            if let Some(extra) = args.first() {
-                return Err(format!("unexpected argument `{extra}`"));
-            }
+            positionals(&args, 0)?;
             return Ok((
                 addr,
                 ClientMode::Lookup {
@@ -622,7 +591,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
             ));
         }
         let opts = take_run_options(&mut args, false)?;
-        match args.as_slice() {
+        match positionals(&args, 1)? {
             [path] => Ok((
                 addr.clone(),
                 ClientMode::Tune {
@@ -630,8 +599,7 @@ fn cmd_client(args: &[String]) -> ExitCode {
                     opts,
                 },
             )),
-            [] => Err("need a <spec.json> or --lookup KERNEL".to_string()),
-            [_, extra, ..] => Err(format!("unexpected argument `{extra}`")),
+            _ => Err("need a <spec.json> or --lookup KERNEL".to_string()),
         }
     })();
     let (addr, mode) = match parsed {

@@ -76,6 +76,58 @@ fn bad_inputs_are_usage_errors() {
     );
 }
 
+/// A leftover `--x` is named as an unknown option (not mistaken for a
+/// path) with the command's usage, exit 2 — the removed space-cache flags
+/// included, and before anything is created on disk.
+#[test]
+fn unknown_options_are_named_with_the_usage() {
+    let dir = std::env::temp_dir().join(format!("atf-cli-bin-unknown-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = dir.join("cache");
+    let db = dir.join("db.json");
+    let (cache, db) = (cache.to_str().unwrap(), db.to_str().unwrap());
+    for (args, option) in [
+        (
+            &["run", "--space-cache", cache, "spec.json"][..],
+            "--space-cache",
+        ),
+        (
+            &["run", "spec.json", "--space-cache-max-mb", "5"][..],
+            "--space-cache-max-mb",
+        ),
+        (
+            &["serve", "--db", db, "--space-cache", cache][..],
+            "--space-cache",
+        ),
+        (
+            &["serve", "--db", db, "--space-cache-max-mb", "5"][..],
+            "--space-cache-max-mb",
+        ),
+        (
+            &["client", "--journal", "j.ndjson", "spec.json"][..],
+            "--journal",
+        ),
+        (&["client", "--lookup", "k", "--wat"][..], "--wat"),
+        (&["campaign", "--wat", "camp.json"][..], "--wat"),
+    ] {
+        let out = run_with(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option `{option}`")),
+            "{args:?}: {stderr}"
+        );
+        let usage = format!("usage: atf-tune {}", args[0]);
+        assert!(stderr.contains(&usage), "{args:?}: {stderr}");
+    }
+    assert!(!dir.exists(), "a usage error must not touch the disk");
+    for command in ["run", "serve"] {
+        let help = run_with(&["help", command]);
+        let text = String::from_utf8_lossy(&help.stdout).to_lowercase();
+        assert!(!text.contains("cache"), "help {command}: {text}");
+    }
+}
+
 #[cfg(unix)]
 fn write_executable(path: &std::path::Path, body: &str) {
     let mut f = std::fs::File::create(path).unwrap();
@@ -271,6 +323,10 @@ fn serve_and_client_end_to_end() {
     let status = server.wait().unwrap();
     assert!(status.success(), "server exit: {status:?}");
     assert!(db_path.exists(), "database not persisted");
+    assert!(
+        !dir.join("space-cache").exists(),
+        "`serve --db` keeps no space cache beside the database"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -183,11 +183,6 @@ pub struct MetricsRegistry {
     pub eval_latency: Histogram,
     /// Search-space generation time, microseconds, summed over groups.
     pub space_gen_micros: Counter,
-    /// Session opens whose search space was loaded from the persistent
-    /// space cache instead of being regenerated.
-    pub space_cache_hits: Counter,
-    /// Session opens that missed the space cache (generated, then stored).
-    pub space_cache_misses: Counter,
     window_capacity: Gauge,
     window_occupancy: Gauge,
     window_peak: AtomicU64,
@@ -247,8 +242,6 @@ impl Default for MetricsRegistry {
             journal_errors: Counter::default(),
             eval_latency: Histogram::default(),
             space_gen_micros: Counter::default(),
-            space_cache_hits: Counter::default(),
-            space_cache_misses: Counter::default(),
             window_capacity: Gauge::default(),
             window_occupancy: Gauge::default(),
             window_peak: AtomicU64::new(0),
@@ -389,8 +382,12 @@ impl MetricsRegistry {
         let evaluations = self.evaluations.get();
         let workers = self.workers_total.get();
         let busy_micros = self.busy_micros.get();
-        let elapsed_micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        let utilization_pct = if workers == 0 || elapsed_micros == 0 {
+        // At least 1 µs: a snapshot in the registry's first microsecond
+        // still reports the busy time it has seen.
+        let elapsed_micros = u64::try_from(elapsed.as_micros())
+            .unwrap_or(u64::MAX)
+            .max(1);
+        let utilization_pct = if workers == 0 {
             0.0
         } else {
             (busy_micros as f64 / (workers * elapsed_micros) as f64 * 100.0).min(100.0)
@@ -419,8 +416,6 @@ impl MetricsRegistry {
                 0.0
             },
             space_gen_ms: self.space_gen_micros.get() / 1000,
-            space_cache_hits: self.space_cache_hits.get(),
-            space_cache_misses: self.space_cache_misses.get(),
             eval_latency: self.eval_latency.snapshot(),
             window: WindowSnapshot {
                 capacity: self.window_capacity.get(),
@@ -457,7 +452,7 @@ impl MetricsRegistry {
                     queue_depth: self.reactor_queue_depth.get(),
                     queue_peak: self.reactor_queue_peak.load(Ordering::Relaxed),
                     handlers_busy: self.reactor_handlers_busy.get(),
-                    handler_utilization_pct: if handlers == 0 || elapsed_micros == 0 {
+                    handler_utilization_pct: if handlers == 0 {
                         0.0
                     } else {
                         (busy_micros as f64 / (handlers * elapsed_micros) as f64 * 100.0).min(100.0)
@@ -588,47 +583,28 @@ pub struct MetricsSnapshot {
     pub retries: u64,
     /// Circuit-breaker trips.
     pub breaker_trips: u64,
-    /// Journal write failures under the degrade-don't-die policy (absent
-    /// in snapshots from older peers, defaulting to zero).
-    #[serde(default)]
+    /// Journal write failures under the degrade-don't-die policy.
     pub journal_errors: u64,
     /// Applied evaluations per second of wall clock.
     pub configs_per_sec: f64,
     /// Search-space generation time, milliseconds.
     pub space_gen_ms: u64,
-    /// Session opens served from the persistent space cache (absent in
-    /// snapshots from older peers, defaulting to zero).
-    #[serde(default)]
-    pub space_cache_hits: u64,
-    /// Session opens that missed the space cache (absent in snapshots
-    /// from older peers, defaulting to zero).
-    #[serde(default)]
-    pub space_cache_misses: u64,
     /// Eval-latency histogram.
     pub eval_latency: LatencySnapshot,
     /// Pending-window gauges.
     pub window: WindowSnapshot,
     /// Worker-pool gauges.
     pub workers: WorkerSnapshot,
-    /// Service admission/overload gauges (absent in snapshots from older
-    /// peers, defaulting to all-zero).
-    #[serde(default)]
+    /// Service admission/overload gauges.
     pub admission: AdmissionSnapshot,
-    /// Records appended to the tuning-database log (absent in snapshots
-    /// from older peers, defaulting to zero).
-    #[serde(default)]
+    /// Records appended to the tuning-database log.
     pub db_appends: u64,
-    /// Tuning-database compactions (absent in snapshots from older peers,
-    /// defaulting to zero).
-    #[serde(default)]
+    /// Tuning-database compactions.
     pub db_compactions: u64,
-    /// Event-driven server reactor gauges (absent in snapshots from older
-    /// peers, defaulting to all-zero).
-    #[serde(default)]
+    /// Event-driven server reactor gauges.
     pub reactor: ReactorSnapshot,
     /// Live sessions per manager shard (empty outside the sharded
-    /// service, and in snapshots from older peers).
-    #[serde(default)]
+    /// service).
     pub shard_sessions: Vec<u64>,
 }
 
@@ -665,15 +641,6 @@ impl MetricsSnapshot {
             ),
         );
         row("space gen", format!("{} ms", self.space_gen_ms));
-        if self.space_cache_hits + self.space_cache_misses > 0 {
-            row(
-                "space cache",
-                format!(
-                    "{} hits, {} misses",
-                    self.space_cache_hits, self.space_cache_misses
-                ),
-            );
-        }
         row(
             "window",
             format!(
@@ -781,8 +748,6 @@ mod tests {
         m.set_workers(2);
         m.worker_busy();
         m.worker_idle(Duration::from_millis(5));
-        // A snapshot within the registry's first microsecond reports 0 %.
-        std::thread::sleep(Duration::from_millis(1));
         let s = m.snapshot();
         assert_eq!(s.window.capacity, 4);
         assert_eq!(s.window.occupancy, 1);
@@ -844,29 +809,6 @@ mod tests {
         assert_eq!(s.reactor.handlers_busy, 0);
         assert!(s.reactor.handler_utilization_pct > 0.0);
         assert!(s.summary().contains("2 io + 4 handlers"), "{}", s.summary());
-    }
-
-    #[test]
-    fn old_peer_snapshot_defaults_reactor_to_zero() {
-        let m = MetricsRegistry::new();
-        let mut v = serde_json::to_value(&m.snapshot());
-        if let serde_json::Value::Object(pairs) = &mut v {
-            pairs.retain(|(key, _)| key != "reactor");
-        }
-        let back: MetricsSnapshot = serde_json::from_value(&v).unwrap();
-        assert_eq!(back.reactor, ReactorSnapshot::default());
-    }
-
-    #[test]
-    fn old_peer_snapshot_defaults_admission_to_zero() {
-        // A snapshot serialized before the admission block must still load.
-        let m = MetricsRegistry::new();
-        let mut v = serde_json::to_value(&m.snapshot());
-        if let serde_json::Value::Object(pairs) = &mut v {
-            pairs.retain(|(key, _)| key != "admission");
-        }
-        let back: MetricsSnapshot = serde_json::from_value(&v).unwrap();
-        assert_eq!(back.admission, AdmissionSnapshot::default());
     }
 
     #[test]

@@ -25,14 +25,12 @@
 //!
 //! Parameter *groups* (Section V) are independent; the full space is their
 //! cross product, which is never built: [`SearchSpace::get`] decomposes a
-//! flat index in the mixed radix of the group sizes in O(#groups). Groups
-//! may also be backed lazily ([`crate::spacegen::LazySpace`]): a streaming
-//! view that stores checkpoints instead of rows.
+//! flat index in the mixed radix of the group sizes in O(#groups).
 
 use crate::config::Config;
 use crate::param::ParamGroup;
 use crate::range::Range;
-use crate::spacegen::{self, GroupPlan, LazyGroup, LazySpace, PackedRows};
+use crate::spacegen::{self, GroupPlan, PackedRows};
 use crate::trace::NullSink;
 use crate::value::Value;
 use std::fmt;
@@ -243,41 +241,10 @@ fn dfs(
     }
 }
 
-/// One group's backing store inside a [`SearchSpace`]: the packed group
-/// space, or a lazy streaming view with bounded memory.
-#[derive(Clone, Debug)]
-enum GroupRepr {
-    Materialized(GroupSpace),
-    Lazy(LazyGroup),
-}
-
-impl GroupRepr {
-    fn len(&self) -> u64 {
-        match self {
-            GroupRepr::Materialized(g) => g.len(),
-            GroupRepr::Lazy(g) => g.len(),
-        }
-    }
-
-    fn names(&self) -> &[Arc<str>] {
-        match self {
-            GroupRepr::Materialized(g) => g.names(),
-            GroupRepr::Lazy(g) => g.names(),
-        }
-    }
-
-    fn write_config(&self, i: u64, out: &mut Config) {
-        match self {
-            GroupRepr::Materialized(g) => g.write_config(i, out),
-            GroupRepr::Lazy(g) => g.write_config(i, out),
-        }
-    }
-}
-
 /// The full search space: the (virtual) cross product of the group spaces.
 #[derive(Clone, Debug)]
 pub struct SearchSpace {
-    groups: Vec<GroupRepr>,
+    groups: Vec<GroupSpace>,
     /// Parameters per configuration, over all groups.
     arity: usize,
     len: u128,
@@ -294,10 +261,15 @@ impl SearchSpace {
     /// ([`crate::spacegen::generate_groups_chunked`]). Output is
     /// bit-identical to [`Self::generate`] at any thread count.
     pub fn generate_parallel(groups: &[ParamGroup]) -> Self {
-        spacegen::space_from_groups(groups, None, &NullSink).0
+        let threads = spacegen::default_threads();
+        let generated = spacegen::generate_groups_chunked(groups, threads, &NullSink);
+        Self::from_group_spaces(generated)
     }
 
-    /// Assembles a search space from already-generated group spaces.
+    /// Assembles a search space from already-generated group spaces — the
+    /// one constructor. It checks once what every later read relies on:
+    /// parameter names are unique across the groups (so
+    /// [`Self::get_by_coords`] appends them unchecked) and the size fits.
     ///
     /// # Panics
     /// Panics if two groups share a parameter name, or if the product of
@@ -305,13 +277,6 @@ impl SearchSpace {
     /// message) — reachable now that an unconstrained group of any size
     /// costs no memory.
     pub fn from_group_spaces(groups: Vec<GroupSpace>) -> Self {
-        Self::assemble(groups.into_iter().map(GroupRepr::Materialized).collect())
-    }
-
-    /// The one constructor: checks once what every later read relies on —
-    /// parameter names are unique across the groups (so
-    /// [`Self::get_by_coords`] appends them unchecked) and the size fits.
-    fn assemble(groups: Vec<GroupRepr>) -> Self {
         let names: Vec<&Arc<str>> = groups.iter().flat_map(|g| g.names()).collect();
         for (i, name) in names.iter().enumerate() {
             assert!(
@@ -412,15 +377,6 @@ impl SearchSpace {
     /// Iterates over all configurations in index order.
     pub fn iter(&self) -> impl Iterator<Item = Config> + '_ {
         (0..self.len).map(|i| self.get(i))
-    }
-}
-
-/// A lazily enumerated space plugs straight in as a session's search
-/// space — indexed access streams blocks on demand instead of touching a
-/// materialized table.
-impl From<LazySpace> for SearchSpace {
-    fn from(lazy: LazySpace) -> Self {
-        Self::assemble(lazy.groups().iter().cloned().map(GroupRepr::Lazy).collect())
     }
 }
 
@@ -623,18 +579,6 @@ mod tests {
             let coords = space.decompose(i);
             assert_eq!(space.compose(&coords), i);
             assert_eq!(space.get(i), space.get_by_coords(&coords));
-        }
-    }
-
-    #[test]
-    fn lazy_backed_search_space() {
-        let groups = saxpy_groups(32);
-        let eager = SearchSpace::generate(&groups);
-        let lazy: SearchSpace = LazySpace::generate(&groups).unwrap().into();
-        assert_eq!(lazy.len(), eager.len());
-        assert_eq!(lazy.dims(), eager.dims());
-        for i in 0..lazy.len() {
-            assert_eq!(lazy.get(i), eager.get(i));
         }
     }
 

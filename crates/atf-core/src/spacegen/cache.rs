@@ -1,35 +1,28 @@
-//! Spec-hash-keyed persistent space cache.
+//! Spec-hash-keyed space files — library-only.
 //!
-//! Generating a heavily-constrained space is the dominant cost of opening a
-//! session (about 0.2 s for the full XgemmDirect space, more for opaque
-//! predicates over wide ranges). The cache persists generated group spaces
-//! keyed by a content hash of the *canonicalized parameter specification* —
-//! names, ranges, and constraint strings — so a daemon restart followed by
-//! re-opening a session with an identical spec loads the space from disk
-//! instead of regenerating it.
+//! No product path stores or loads a space: `atf-tune run` and the
+//! service's `open` generate one every time, because on every space
+//! measured a load saves less than a store costs (DESIGN.md, "Why there is
+//! no space cache"). What remains is the leaf the benchmark still times:
+//! [`SpaceCache::store`] / [`SpaceCache::load`] of generated group spaces
+//! under [`spec_key`], a content hash of the *canonicalized parameter
+//! specification* — names, ranges, and constraint strings.
 //!
 //! An entry is a [`crate::wal`] log: a header line (`version`, `key`, group
 //! count) and one checksummed line per group holding the group's packed
 //! form — per parameter the values its codes decode to (loaded back as a
 //! [`Range::Set`] dictionary), the stored prefix length, the code width and
 //! the rows' codes as one hex string. A torn, altered or out-of-range entry
-//! is a miss and is regenerated; so is one of an older version.
+//! is a miss; so is one of an older version.
 //!
 //! Invalidation is by key: any change to a parameter name, range bound,
 //! step, set element, or constraint string changes the canonical text and
-//! therefore the key, leaving stale entries unreferenced (they are never
-//! read again; the directory can simply be deleted to reclaim space). Keys
-//! concatenate two independent FNV-1a 64 hashes of the canonical text for
-//! an effectively 128-bit key, and the stored file repeats the key so a
-//! colliding file is rejected on load and regenerated.
+//! therefore the key. Keys concatenate two independent FNV-1a 64 hashes of
+//! the canonical text for an effectively 128-bit key, and the stored file
+//! repeats the key so a colliding file is rejected on load.
 //!
 //! Writes go through [`crate::wal::replace_atomically`] — a crash
 //! mid-store leaves either the old entry or none, never a torn one.
-//!
-//! The cache can be bounded ([`SpaceCache::with_limits`]) by entry count
-//! and total bytes; every store then evicts least-recently-used entries
-//! (recency = file mtime, refreshed on every cache hit) until both caps
-//! hold. An unbounded cache behaves exactly as before.
 
 use super::packed::PackedRows;
 use crate::range::Range;
@@ -39,7 +32,7 @@ use crate::value::Value;
 use crate::wal::{self, fnv1a64};
 use serde::{Deserialize, Serialize};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 const CACHE_VERSION: u32 = 2;
@@ -204,32 +197,12 @@ fn decode_value(s: &str) -> Option<Value> {
 #[derive(Clone, Debug)]
 pub struct SpaceCache {
     dir: PathBuf,
-    max_entries: Option<usize>,
-    max_bytes: Option<u64>,
 }
 
 impl SpaceCache {
-    /// A cache rooted at `dir` (created lazily on first store), unbounded.
+    /// A cache rooted at `dir` (created lazily on first store).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        SpaceCache {
-            dir: dir.into(),
-            max_entries: None,
-            max_bytes: None,
-        }
-    }
-
-    /// Caps the cache by entry count and/or total bytes (builder-style).
-    /// Every store evicts least-recently-used entries until both caps
-    /// hold; `None` leaves a dimension unbounded.
-    pub fn with_limits(mut self, max_entries: Option<usize>, max_bytes: Option<u64>) -> Self {
-        self.max_entries = max_entries;
-        self.max_bytes = max_bytes;
-        self
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        SpaceCache { dir: dir.into() }
     }
 
     fn entry_path(&self, key: &str) -> PathBuf {
@@ -237,8 +210,7 @@ impl SpaceCache {
     }
 
     /// Loads the group spaces stored under `key`. Any miss, version
-    /// mismatch, key mismatch, or decode failure returns `None` — the
-    /// caller regenerates and overwrites.
+    /// mismatch, key mismatch, or decode failure returns `None`.
     pub fn load(&self, key: &str) -> Option<Vec<GroupSpace>> {
         let path = self.entry_path(key);
         let log = wal::load::<CacheHeader, CacheGroup>(&path, CACHE_VERSION).ok()??;
@@ -251,10 +223,6 @@ impl SpaceCache {
         let names: Vec<_> = groups.iter().flat_map(|g| g.names()).collect();
         if (1..names.len()).any(|i| names[..i].contains(&names[i])) {
             return None;
-        }
-        // A hit refreshes the entry's mtime — the LRU recency signal.
-        if let Ok(f) = std::fs::File::open(&path) {
-            let _ = f.set_modified(std::time::SystemTime::now());
         }
         Some(groups)
     }
@@ -275,55 +243,7 @@ impl SpaceCache {
         };
         wal::replace_atomically(&self.entry_path(key), |out| {
             wal::write_log(out, &header, &entries)
-        })?;
-        // Eviction is best-effort: a failed scan must not fail the store
-        // that just succeeded.
-        let _ = self.evict_lru();
-        Ok(())
-    }
-
-    /// Evicts least-recently-used entries until the configured entry-count
-    /// and total-byte caps both hold; returns how many files were removed.
-    /// No-op for an unbounded cache. Recency is the entry file's mtime,
-    /// refreshed by every [`load`](Self::load) hit, so a hot entry
-    /// survives stores that evict its colder neighbours.
-    pub fn evict_lru(&self) -> io::Result<usize> {
-        if self.max_entries.is_none() && self.max_bytes.is_none() {
-            return Ok(0);
-        }
-        let mut entries: Vec<(PathBuf, std::time::SystemTime, u64)> = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            // Only committed entries count; an in-flight `.tmp` sibling
-            // belongs to a concurrent store and is left alone.
-            if !name.ends_with(".space.json") {
-                continue;
-            }
-            let meta = entry.metadata()?;
-            let mtime = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-            entries.push((entry.path(), mtime, meta.len()));
-        }
-        // Oldest first; path as tiebreak so same-mtime eviction order is
-        // deterministic.
-        entries.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        let mut count = entries.len();
-        let mut bytes: u64 = entries.iter().map(|(_, _, len)| len).sum();
-        let mut evicted = 0usize;
-        for (path, _, len) in &entries {
-            let over_entries = self.max_entries.is_some_and(|cap| count > cap);
-            let over_bytes = self.max_bytes.is_some_and(|cap| bytes > cap);
-            if !over_entries && !over_bytes {
-                break;
-            }
-            if std::fs::remove_file(path).is_ok() {
-                evicted += 1;
-                count -= 1;
-                bytes = bytes.saturating_sub(*len);
-            }
-        }
-        Ok(evicted)
+        })
     }
 }
 
@@ -499,84 +419,6 @@ mod tests {
         let dir = tmp_dir("unlistable");
         let stored = SpaceCache::new(&dir).store("k", &[GroupSpace::generate(&unlistable)]);
         assert!(stored.is_err() && !dir.join("k.space.json").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn eviction_caps_entry_count_lru_first() {
-        let dir = tmp_dir("evict-count");
-        let cache = SpaceCache::new(&dir).with_limits(Some(2), None);
-        let keys: Vec<String> = (4u64..8).map(|n| spec_key(&spec(n))).collect();
-        for (i, n) in (4u64..8).enumerate() {
-            let specs = spec(n);
-            let groups: Vec<GroupSpace> = auto_group(build_params(&specs).unwrap())
-                .iter()
-                .map(GroupSpace::generate)
-                .collect();
-            cache.store(&keys[i], &groups).unwrap();
-            // Spread mtimes so LRU order is unambiguous regardless of
-            // filesystem timestamp granularity.
-            let f = std::fs::File::open(cache.entry_path(&keys[i])).unwrap();
-            f.set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(100 + i as u64))
-                .unwrap();
-        }
-        let _ = cache.evict_lru().unwrap();
-        // Only the two most recently touched entries survive.
-        assert!(cache.load(&keys[0]).is_none());
-        assert!(cache.load(&keys[1]).is_none());
-        assert!(cache.load(&keys[2]).is_some());
-        assert!(cache.load(&keys[3]).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn eviction_caps_total_bytes_and_hits_refresh_recency() {
-        let dir = tmp_dir("evict-bytes");
-        let unbounded = SpaceCache::new(&dir);
-        let keys: Vec<String> = (4u64..7).map(|n| spec_key(&spec(n))).collect();
-        for (i, n) in (4u64..7).enumerate() {
-            let specs = spec(n);
-            let groups: Vec<GroupSpace> = auto_group(build_params(&specs).unwrap())
-                .iter()
-                .map(GroupSpace::generate)
-                .collect();
-            unbounded.store(&keys[i], &groups).unwrap();
-            let f = std::fs::File::open(unbounded.entry_path(&keys[i])).unwrap();
-            f.set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(100 + i as u64))
-                .unwrap();
-        }
-        // A hit on the oldest entry promotes it past its siblings.
-        assert!(unbounded.load(&keys[0]).is_some());
-        // Cap one byte below the current total: exactly one eviction, and
-        // it must take the least recently *used* entry — keys[1], not the
-        // just-promoted keys[0].
-        let total: u64 = (0..3)
-            .map(|i| {
-                std::fs::metadata(unbounded.entry_path(&keys[i]))
-                    .unwrap()
-                    .len()
-            })
-            .sum();
-        let bounded = SpaceCache::new(&dir).with_limits(None, Some(total - 1));
-        assert_eq!(bounded.evict_lru().unwrap(), 1);
-        assert!(bounded.load(&keys[1]).is_none(), "LRU entry evicted");
-        assert!(bounded.load(&keys[0]).is_some(), "hit kept it alive");
-        assert!(bounded.load(&keys[2]).is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unbounded_cache_never_evicts() {
-        let dir = tmp_dir("evict-off");
-        let cache = SpaceCache::new(&dir);
-        let specs = spec(8);
-        let groups: Vec<GroupSpace> = auto_group(build_params(&specs).unwrap())
-            .iter()
-            .map(GroupSpace::generate)
-            .collect();
-        cache.store(&spec_key(&specs), &groups).unwrap();
-        assert_eq!(cache.evict_lru().unwrap(), 0);
-        assert!(cache.load(&spec_key(&specs)).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

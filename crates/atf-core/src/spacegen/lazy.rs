@@ -13,10 +13,9 @@
 //! [`LazySpace`] is the cross product of lazy groups and implements the
 //! same indexable interface as the materialized
 //! [`SearchSpace`](crate::space::SearchSpace) (`len`/`get`/`decompose`/
-//! `compose`/`iter`), so random, exhaustive, and model-based search all
-//! work unchanged on spaces too large to materialize. `SearchSpace: From
-//! <LazySpace>` plugs a lazy space straight into a
-//! [`TuningSession`](crate::session::TuningSession).
+//! `compose`/`iter`). It is library-only: a
+//! [`TuningSession`](crate::session::TuningSession) reads a `SearchSpace`,
+//! which holds packed rows and nothing else.
 
 use super::compile::{CandSource, GroupPlan, Prefix};
 use crate::config::Config;

@@ -17,23 +17,23 @@
 //! - **Packed rows** ([`packed`]): the one stored form of a group's valid
 //!   prefixes — a flat byte vector of positions, 1/2/4/8 bytes each —
 //!   behind [`GroupSpace`](crate::space::GroupSpace), the reference
-//!   generator, chunked generation and cache entries alike.
+//!   generator and chunked generation alike.
 //! - **Chunked intra-group parallelism** ([`chunked`]): the leading
 //!   parameter's candidates are partitioned into chunks enumerated
 //!   concurrently, each into its own rows, concatenated in chunk order, so
 //!   output is bit-identical to sequential generation at any thread count.
-//! - **Lazy streaming spaces** ([`lazy`]): [`LazySpace`] enumerates valid
-//!   configurations on demand behind the same indexable interface as the
-//!   generated space, with bounded memory (block checkpoints + a small
-//!   LRU block cache).
-//! - **A persistent space cache** ([`cache`]): generated spaces are keyed
-//!   by a content hash of the canonicalized parameter spec and persisted
-//!   next to the tuning database, so a service restart re-opens sessions
-//!   without regenerating identical spaces.
 //!
 //! [`space_from_spec`] is the one entry point that strings them together
-//! for a parameter spec — probe the cache, else generate chunked and
-//! store — shared by `atf-tune run` and the service's `open`.
+//! for a parameter spec — group, then generate chunked — shared by
+//! `atf-tune run` and the service's `open`. A space is generated on every
+//! run and every `open`; nothing persists one (DESIGN.md, "Why there is no
+//! space cache").
+//!
+//! Two leaf modules are library-only — no product path reaches them, and
+//! nothing else in `crates/*/src` names them: [`lazy`] ([`LazySpace`]
+//! enumerates configurations on demand from block checkpoints) and
+//! [`cache`] ([`SpaceCache`] stores and loads group spaces as files keyed
+//! by [`spec_key`]). They stay because `atf-suite` still times them.
 
 mod cache;
 mod chunked;
@@ -48,5 +48,4 @@ pub use from_spec::{space_from_spec, SpaceBuild};
 pub use lazy::{LazyGroup, LazySpace, DEFAULT_BLOCK_SIZE};
 
 pub(crate) use compile::{configs, tail_len, GroupPlan};
-pub(crate) use from_spec::space_from_groups;
 pub(crate) use packed::PackedRows;

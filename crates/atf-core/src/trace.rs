@@ -28,7 +28,6 @@ use std::sync::Mutex;
 pub const EVENT_KINDS: &[&str] = &[
     "space_gen",
     "space_chunk",
-    "space_cache",
     "handout",
     "report",
     "eval",
@@ -65,8 +64,6 @@ pub struct TraceEvent {
     pub chunk: Option<usize>,
     /// `space_gen`, `space_chunk`: number of valid configurations generated.
     pub size: Option<u64>,
-    /// `space_cache`: the spec hash key that was probed.
-    pub key: Option<String>,
     /// Wall-clock duration of the measured step, in microseconds
     /// (`space_gen`, `eval`, `proc`, `worker_idle` busy time).
     pub micros: Option<u64>,
@@ -133,7 +130,6 @@ impl serde::Serialize for TraceEvent {
         push(&mut fields, "params", &self.params);
         push(&mut fields, "chunk", &self.chunk);
         push(&mut fields, "size", &self.size);
-        push(&mut fields, "key", &self.key);
         push(&mut fields, "micros", &self.micros);
         push(&mut fields, "ticket", &self.ticket);
         push(&mut fields, "point", &self.point);
@@ -185,16 +181,6 @@ impl TraceEvent {
             size: Some(size),
             micros: Some(micros),
             ..Self::kind("space_chunk")
-        }
-    }
-
-    /// The persistent space cache was probed for `key`; `hit` says whether
-    /// a valid entry was loaded (a miss is followed by generation + store).
-    pub fn space_cache(key: &str, hit: bool) -> Self {
-        TraceEvent {
-            key: Some(key.to_string()),
-            ok: Some(hit),
-            ..Self::kind("space_cache")
         }
     }
 
@@ -503,7 +489,6 @@ mod tests {
         let events = vec![
             TraceEvent::space_gen(0, 2, 64, 1234),
             TraceEvent::space_chunk(0, 3, 16, 250),
-            TraceEvent::space_cache("00ff00ff00ff00ff00ff00ff00ff00ff", true),
             TraceEvent::report(7, 1, Some("timeout")),
             TraceEvent::abort("evaluations(5)", 5, 99),
             TraceEvent::admission("acme", 3),

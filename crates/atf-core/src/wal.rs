@@ -1,6 +1,7 @@
-//! The durable-log primitive under the run journal, the campaign WAL, the
-//! database log and the space cache — the only module of the product that
-//! calls `sync_data` / `sync_all` / `rename` / `set_len`.
+//! The durable-log primitive under the run journal, the campaign WAL and
+//! the database log (and the library-only space files of
+//! `spacegen::cache`) — the only module of the product that calls
+//! `sync_data` / `sync_all` / `rename` / `set_len`.
 //!
 //! **Framing.** A log is a header line (any JSON object carrying a
 //! `"version"` field) followed by one line per entry,

@@ -119,19 +119,6 @@ pub struct ManagerConfig {
     /// pending configuration longer than this, the service reports it as a
     /// timeout failure and moves on (`None` = wait forever).
     pub eval_deadline: Option<Duration>,
-    /// Directory of the persistent space cache (`None` = regenerate every
-    /// open). With a cache, `open` keys the generated search space by a
-    /// content hash of the parameter spec; a service restart followed by an
-    /// `open` with an identical spec loads the space from disk instead of
-    /// regenerating it (observable via the `space_cache_hits` metric).
-    pub space_cache: Option<PathBuf>,
-    /// Space-cache size caps (entry count, total bytes); exceeding either
-    /// evicts least-recently-used entries after each store (`None` =
-    /// unbounded, the pre-eviction behavior).
-    pub space_cache_max_entries: Option<usize>,
-    /// See [`ManagerConfig::space_cache_max_entries`]; the
-    /// `--space-cache-max-mb` flag sets this in bytes.
-    pub space_cache_max_bytes: Option<u64>,
     /// Admission-control limits (default: everything unlimited).
     pub admission: AdmissionConfig,
     /// Number of lock-striped session shards (`None` = one per available
@@ -148,9 +135,6 @@ impl Default for ManagerConfig {
             idle_timeout: Duration::from_secs(15 * 60),
             journal_dir: None,
             eval_deadline: None,
-            space_cache: None,
-            space_cache_max_entries: None,
-            space_cache_max_bytes: None,
             admission: AdmissionConfig::default(),
             shards: None,
         }
@@ -313,7 +297,7 @@ impl SessionManager {
     }
 
     /// Routes `admission`/`shed`/`drain` trace events, and each `open`'s
-    /// `space_cache`/`space_chunk`/`space_gen` events, to `sink`
+    /// `space_chunk`/`space_gen` events, to `sink`
     /// (builder-style; default is the no-op sink).
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace = sink;
@@ -529,9 +513,8 @@ impl SessionManager {
     }
 
     /// The post-admission tail of `open`: builds the space (the same
-    /// spec → space step as `atf-tune run`, through the cache when
-    /// configured), the session, and its journal, then inserts the session
-    /// under a fresh id.
+    /// spec → space step as `atf-tune run`), the session, and its journal,
+    /// then inserts the session under a fresh id.
     fn open_admitted(
         &self,
         request: &Request,
@@ -540,16 +523,11 @@ impl SessionManager {
         technique: Box<dyn atf_core::search::SearchTechnique>,
         tenant: String,
     ) -> Response {
-        let (space, space_build) = match atf_core::spacegen::space_from_spec(
-            parameters,
-            self.config.space_cache.as_deref(),
-            self.config.space_cache_max_entries,
-            self.config.space_cache_max_bytes,
-            self.trace.as_ref(),
-        ) {
-            Ok(built) => built,
-            Err(e) => return Response::error(codes::SPEC, e),
-        };
+        let (space, space_build) =
+            match atf_core::spacegen::space_from_spec(parameters, self.trace.as_ref()) {
+                Ok(built) => built,
+                Err(e) => return Response::error(codes::SPEC, e),
+            };
         let space_size = space.len();
         let mut session = match TuningSession::new(space, technique) {
             Ok(s) => s,
@@ -1827,48 +1805,6 @@ mod tests {
         // Once the obstruction clears, sweeping resumes writing.
         std::fs::remove_dir_all(dir.join("stats.ndjson")).unwrap();
         assert_eq!(manager.sweep_stats(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn space_cache_hits_across_a_service_restart() {
-        let dir = std::env::temp_dir().join(format!("atf-mgr-spacecache-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let config = ManagerConfig {
-            space_cache: Some(dir.clone()),
-            ..ManagerConfig::default()
-        };
-
-        // First lifetime: the open misses the cache, generates, stores.
-        let manager = SessionManager::new(config.clone()).unwrap();
-        let opened = manager.handle(&open_request("cached"));
-        assert!(opened.ok, "{opened:?}");
-        let id = opened.session.unwrap();
-        let stats = manager
-            .handle(&Request::new("stats").with_session(&id))
-            .stats
-            .unwrap();
-        assert_eq!(stats.space_cache_hits, 0);
-        assert_eq!(stats.space_cache_misses, 1);
-        drop(manager);
-
-        // Second lifetime (fresh manager = restarted service): the same
-        // spec hits the persisted entry, with an identical space.
-        let manager = SessionManager::new(config).unwrap();
-        let reopened = manager.handle(&open_request("cached"));
-        assert!(reopened.ok, "{reopened:?}");
-        assert_eq!(reopened.space_size, opened.space_size);
-        let id = reopened.session.unwrap();
-        let stats = manager
-            .handle(&Request::new("stats").with_session(&id))
-            .stats
-            .unwrap();
-        assert_eq!(stats.space_cache_hits, 1);
-        assert_eq!(stats.space_cache_misses, 0);
-
-        // The cached space drives tuning to the same result as a fresh one.
-        let finished = drive_to_completion(&manager, &id, |x| (x as f64 - 7.0).abs());
-        assert_eq!(finished.best_config.unwrap()["X"], 7);
         std::fs::remove_dir_all(&dir).ok();
     }
 

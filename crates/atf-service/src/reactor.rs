@@ -438,6 +438,9 @@ fn io_loop(ctx: IoCtx) {
                 ctx.close_counters(false);
                 continue;
             }
+            // Replies are whole lines written as soon as they exist; Nagle
+            // would hold each behind the peer's delayed ACK of the last.
+            stream.set_nodelay(true).ok();
             let fd = stream.as_raw_fd();
             let token = next_token;
             next_token += 1;

@@ -154,6 +154,50 @@ fn drain_answers_every_buffered_request_and_zeroes_the_gauge() {
     std::fs::remove_file(&db_path).ok();
 }
 
+/// A full pipeline on a live server: 64 pings (the per-connection pipeline
+/// limit) in one `write_all` come back as 64 `ok` lines, and the connection
+/// serves the next request afterwards. Accepted sockets run with
+/// `TCP_NODELAY`, so the replies are not spaced by Nagle × delayed ACK — a
+/// latency `atf-suite`'s `reactor.pipelined_pings_per_s` measures; this
+/// test asserts only the answers.
+#[test]
+fn a_full_pipeline_of_pings_is_answered_line_for_line() {
+    let manager = Arc::new(SessionManager::in_memory());
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        Arc::clone(&manager),
+        ServerConfig {
+            io_threads: Some(1),
+            handlers: Some(2),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let shutdown = server.shutdown_handle();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let ping = "{\"cmd\":\"ping\"}\n";
+    let mut read_ok = |what: &str| {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let resp: Response = serde_json::from_str(line.trim()).unwrap();
+        assert!(resp.ok, "{what} answered {line:?}");
+    };
+    stream.write_all(ping.repeat(64).as_bytes()).unwrap();
+    for i in 0..64 {
+        read_ok(&format!("pipelined ping #{i}"));
+    }
+    stream.write_all(ping.as_bytes()).unwrap();
+    read_ok("the ping after the pipeline");
+
+    shutdown.signal();
+    server_thread.join().unwrap().unwrap();
+    assert_eq!(manager.metrics().snapshot().reactor.registered_fds, 0);
+}
+
 /// ≥512 concurrently open, mostly idle connections — each served at least
 /// one request — on a bounded thread count: the reactor's io loops +
 /// handler pool, not one thread per connection.
