@@ -7,48 +7,19 @@
 //!
 //! Run with: `cargo run --release --example gemm_caffe`
 
-use atf_core::expr::{cst, param};
-use atf_ocl::{buffer_random_f32, scalar};
+use atf_bench::{devices, xgemm_cost_function};
 use atf_repro::prelude::*;
-use clblast::{caffe, XgemmDirectKernel};
-use ocl_sim::{DeviceModel, Scalar};
-
-/// Builds the XgemmDirect cost function for one device and matrix shape,
-/// with CLBlast's padded launch geometry expressed as ATF arithmetic:
-/// `global = ceil(size/WGD) * {M,N}DIMCD`, `local = ({M,N}DIMCD)`.
-fn gemm_cost_function(device: DeviceModel, m: u64, n: u64, k: u64) -> atf_ocl::OclCostFunction {
-    atf_ocl::ocl_on(device, XgemmDirectKernel)
-        .arg(scalar(Scalar::U64(m)))
-        .arg(scalar(Scalar::U64(n)))
-        .arg(scalar(Scalar::U64(k)))
-        .arg(scalar(1.0f32)) // alpha
-        .arg(scalar(0.0f32)) // beta
-        .arg(buffer_random_f32((m * k) as usize))
-        .arg(buffer_random_f32((k * n) as usize))
-        .arg(buffer_random_f32((m * n) as usize))
-        .global_size([
-            cst(m).ceil_div(param("WGD")) * param("MDIMCD"),
-            cst(n).ceil_div(param("WGD")) * param("NDIMCD"),
-        ])
-        .local_size([param("MDIMCD"), param("NDIMCD")])
-        .seed(7)
-        .build()
-}
+use clblast::caffe;
 
 fn main() {
     let budget = 2_000; // evaluations per tuning run
-    let devices = [
-        ("CPU", DeviceModel::xeon_e5_2640v2_dual()),
-        ("GPU", DeviceModel::tesla_k20m()),
-    ];
-
-    for (dev_label, device) in devices {
+    for (dev_label, device) in devices() {
         println!("=== {dev_label}: {} ===", device.name);
         for (label, &(m, n, k)) in caffe::LABELS.iter().zip(&caffe::INPUT_SIZES) {
             // The native ATF search space: 10 interdependent parameters.
             let groups = clblast::atf_space(m, n, k);
 
-            let mut cf = gemm_cost_function(device.clone(), m, n, k);
+            let mut cf = xgemm_cost_function(device.clone(), (m, n, k));
             let result = Tuner::new()
                 .technique(Ensemble::opentuner_default(1))
                 .abort_condition(abort::evaluations(budget))
@@ -56,7 +27,7 @@ fn main() {
                 .expect("ATF space is non-empty");
 
             // Compare against CLBlast's compiled-in defaults.
-            let mut cf_default = gemm_cost_function(device.clone(), m, n, k);
+            let mut cf_default = xgemm_cost_function(device.clone(), (m, n, k));
             let default_cost = cf_default
                 .measure(&clblast::default_config())
                 .expect("default configuration always valid");
@@ -75,5 +46,5 @@ fn main() {
             );
         }
     }
-    println!("\n(see `cargo run -p atf-bench --release --bin fig2_speedup` for the full Figure-2 comparison against the CLTune and OpenTuner baselines)");
+    println!("\n(see `cargo run -p atf-bench --release -- fig2` for the full Figure-2 comparison against the CLTune and OpenTuner baselines)");
 }

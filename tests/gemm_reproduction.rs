@@ -1,178 +1,63 @@
-//! Integration tests for the paper's Section VI claims, at test-friendly
-//! scale (the full-scale reproduction lives in the `atf-bench` binaries).
+//! The paper's Section IV–VI claims at test scale: the experiments behind
+//! `atf-bench`, run with small caps and budgets, held to the same predicates
+//! `atf-bench check` holds the committed full-scale results to — all but the
+//! two wall-clock ones, which depend on the host.
 
+use atf_bench::cltune_xgemm;
+use atf_bench::experiments::*;
 use atf_core::expr::{cst, param};
 use atf_core::prelude::*;
-use atf_ocl::{buffer_random_f32, scalar};
-use baselines::{CltuneGenError, CltuneTuner, OpenTunerStyleTuner};
-use clblast::{caffe, XgemmDirectKernel};
+use atf_ocl::scalar;
+use baselines::CltuneGenError;
+use clblast::xgemm_space::atf_space_wgd_max;
+use clblast::XgemmDirectKernel;
 use ocl_sim::{DeviceModel, Scalar};
-
-fn gemm_cf(device: DeviceModel, m: u64, n: u64, k: u64) -> atf_ocl::OclCostFunction {
-    atf_ocl::ocl_on(device, XgemmDirectKernel)
-        .arg(scalar(Scalar::U64(m)))
-        .arg(scalar(Scalar::U64(n)))
-        .arg(scalar(Scalar::U64(k)))
-        .arg(scalar(1.0f32))
-        .arg(scalar(0.0f32))
-        .arg(buffer_random_f32((m * k) as usize))
-        .arg(buffer_random_f32((k * n) as usize))
-        .arg(buffer_random_f32((m * n) as usize))
-        .global_size([
-            cst(m).ceil_div(param("WGD")) * param("MDIMCD"),
-            cst(n).ceil_div(param("WGD")) * param("NDIMCD"),
-        ])
-        .local_size([param("MDIMCD"), param("NDIMCD")])
-        .seed(11)
-        .build()
-}
+use std::time::Duration;
 
 #[test]
 fn atf_tunes_xgemm_better_than_clblast_defaults() {
-    // The headline mechanism behind Figure 2: for every Caffe size, tuning
-    // with ATF beats the untuned defaults on both devices.
-    for device in [
-        DeviceModel::xeon_e5_2640v2_dual(),
-        DeviceModel::tesla_k20m(),
-    ] {
-        for &(m, n, k) in &caffe::INPUT_SIZES {
-            let groups = clblast::xgemm_space::atf_space_wgd_max(16); // test-scale
-            let mut cf = gemm_cf(device.clone(), m, n, k);
-            let tuned = Tuner::new()
-                .technique(Ensemble::opentuner_default(3))
-                .abort_condition(abort::evaluations(400))
-                .tune(&groups, &mut cf)
-                .unwrap();
-            let default_cost = gemm_cf(device.clone(), m, n, k)
-                .measure(&clblast::default_config())
-                .unwrap();
-            assert!(
-                tuned.best_cost <= default_cost,
-                "{}x{}x{} on {}: tuned {} vs default {}",
-                m,
-                n,
-                k,
-                device.name,
-                tuned.best_cost,
-                default_cost
-            );
-        }
-    }
+    // Figure 2's headline: ATF beats CLTune's device-optimized values and
+    // OpenTuner (no better than CLBlast's defaults) everywhere.
+    let records = fig2(32, 300, 300);
+    atf_beats_both_baselines(&records).unwrap();
+    cpu_speedup_above_gpu_at_every_is(&records).unwrap();
+    largest_cltune_speedup_at_cpu_is4(&records).unwrap();
 }
 
 #[test]
 fn cltune_limited_space_is_empty_for_caffe_sizes() {
-    // Section VI-A: CLBlast's range limitation + divides-rows/columns
-    // constraint empties the space for every deep-learning input size, so
-    // CLTune cannot tune at all and the kernel falls back to defaults.
-    for &(m, n, k) in &caffe::INPUT_SIZES {
-        let groups = clblast::clblast_limited_space(m, n, k);
-        let space = SearchSpace::count(&groups).unwrap();
-        assert_eq!(space, 0, "{m}x{n}x{k} should have an empty CLTune space");
-    }
+    limited_space_empty_at_every_is(&tab_space_sizes(&[8], 8)).unwrap();
 }
 
 #[test]
 fn cltune_cross_product_generation_blows_up_where_atf_does_not() {
-    // Section VI-A: "even for the multiplication of small 32×32 matrices,
-    // the search space generation takes too much time — we aborted after
-    // 3 hours — while ATF requires less than 1 second".
-    // Test-scale: unrestricted ranges 1..=32 for the 6 dimension-like
-    // parameters. Cross product = 32^6 * 4^2 * 2^2 ≈ 6.9e10 candidates.
-    let mut cltune = CltuneTuner::new();
-    for name in ["WGD", "MDIMCD", "NDIMCD", "MDIMAD", "NDIMBD", "KWID"] {
-        cltune.add_parameter(name, (1..=32).collect());
-    }
-    cltune.add_parameter("VWMD", vec![1, 2, 4, 8]);
-    cltune.add_parameter("VWND", vec![1, 2, 4, 8]);
-    cltune.add_parameter("PADA", vec![0, 1]);
-    cltune.add_parameter("PADB", vec![0, 1]);
-    cltune.candidate_limit(2_000_000); // a generous but finite budget
+    // The wall-clock claims (ATF < 1 s, CLTune projects hours) depend on the
+    // host and are `atf-bench check`'s. Here: where CLTune's generation
+    // completes it finds ATF's space, and at 32×32 ranges it must filter a
+    // cross product 10⁴× the valid space and overruns a finite candidate budget.
+    let records = tab_generation(&[4], Duration::from_secs(3600));
+    cltune_agrees_where_it_completes(&records).unwrap();
+    let mut cltune = cltune_xgemm(std::array::from_fn(|_| (1..=32).collect()));
+    cltune.candidate_limit(1_000_000);
     let err = cltune.generate_space().unwrap_err();
-    assert_eq!(err, CltuneGenError::TooManyCandidates { limit: 2_000_000 });
-
-    // ATF's constrained-range generation handles the same ranges easily.
-    let t0 = std::time::Instant::now();
-    let atf_count = SearchSpace::count(&clblast::xgemm_space::atf_space_wgd_max(32)).unwrap();
-    assert!(atf_count > 0);
-    assert!(
-        t0.elapsed() < std::time::Duration::from_secs(10),
-        "ATF generation took {:?}",
-        t0.elapsed()
-    );
+    assert_eq!(err, CltuneGenError::TooManyCandidates { limit: 1_000_000 });
+    let valid = SearchSpace::count(&atf_space_wgd_max(32)).unwrap();
+    assert!(cltune.cross_product_size() > 10_000 * valid as u128);
 }
 
 #[test]
 fn opentuner_penalty_wastes_the_budget_on_invalid_configs() {
-    // Section VI-B: valid configurations are a tiny fraction of the
-    // unconstrained space, so the penalty-based OpenTuner run burns its
-    // evaluations on failures.
-    let (m, n, k) = caffe::IS4;
-    let mut ot = OpenTunerStyleTuner::from_u64_ranges(clblast::unconstrained_params(64)).seed(9);
-    let mut cf = gemm_cf(DeviceModel::tesla_k20m(), m, n, k);
-    let result = ot.tune(1000, &mut cf);
-    assert!(
-        result.valid_fraction() < 0.2,
-        "valid fraction {}",
-        result.valid_fraction()
-    );
-    // ATF with the same budget explores ONLY valid configurations.
-    let groups = clblast::xgemm_space::atf_space_wgd_max(16);
-    let mut cf = gemm_cf(DeviceModel::tesla_k20m(), m, n, k);
-    let atf = Tuner::new()
-        .technique(Ensemble::opentuner_default(9))
-        .abort_condition(abort::evaluations(1000))
-        .tune(&groups, &mut cf)
-        .unwrap();
-    // (ATF evaluations can still fail on *device* limits, but constraint
-    // violations are impossible by construction.)
-    let atf_valid = atf.valid_evaluations as f64 / atf.evaluations as f64;
-    assert!(
-        atf_valid > result.valid_fraction(),
-        "ATF {atf_valid} vs OpenTuner {}",
-        result.valid_fraction()
-    );
-    // And ATF's best beats OpenTuner's best (when OpenTuner found any).
-    if let Some((_, ot_best)) = result.best {
-        assert!(
-            atf.best_cost <= ot_best,
-            "ATF {} vs OpenTuner {}",
-            atf.best_cost,
-            ot_best
-        );
-    }
+    opentuner_finds_no_valid_configuration(&tab_opentuner_validity(16, 1_000)).unwrap();
 }
 
 #[test]
 fn relaxing_cltune_constraints_improves_the_best_configuration() {
-    // Section VI-A: ATF can drop CLTune's WGD-divides-M/N constraints
-    // (because the padded global size is expressible), enlarging the space
-    // and improving the tuning result.
-    let (m, n, k) = caffe::IS4; // 10 × 500: divisibility is very restrictive
-    let full = SearchSpace::count(&clblast::atf_space(m, n, k)).unwrap();
-    let constrained = SearchSpace::count(&clblast::atf_space_cltune_constraints(m, n, k)).unwrap();
-    assert!(constrained < full / 10, "{constrained} vs {full}");
+    relaxation_improves_everywhere(&tab_constraint_relaxation(16, 1_000, 1)).unwrap();
+}
 
-    // Exhaustive over the constrained space (it is small: WGD ∈ {1,2,5,10} ∩ div(500) = {1,2,5,10}).
-    let mut cf = gemm_cf(DeviceModel::tesla_k20m(), m, n, k);
-    let best_constrained = Tuner::new()
-        .technique(Exhaustive::new())
-        .tune(&clblast::atf_space_cltune_constraints(m, n, k), &mut cf)
-        .unwrap();
-
-    // Search over the full space with a budget.
-    let mut cf = gemm_cf(DeviceModel::tesla_k20m(), m, n, k);
-    let best_full = Tuner::new()
-        .technique(Ensemble::opentuner_default(21))
-        .abort_condition(abort::evaluations(3000))
-        .tune(&clblast::atf_space(m, n, k), &mut cf)
-        .unwrap();
-    assert!(
-        best_full.best_cost < best_constrained.best_cost,
-        "full {} vs constrained {}",
-        best_full.best_cost,
-        best_constrained.best_cost
-    );
+#[test]
+fn the_ensemble_beats_the_weaker_half_of_the_techniques() {
+    ensemble_beats_the_weaker_half(&tab_ensemble_ablation(16, 200, &[11, 23])).unwrap();
 }
 
 #[test]
