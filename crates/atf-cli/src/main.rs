@@ -96,10 +96,10 @@ exits within the drain deadline.
   --max-inflight N   At most N handed-out, unreported configurations per
                      tenant; a `next` beyond it is answered `overloaded`.
   --max-connections N
-                     Serve at most N concurrent connections; beyond that
-                     connections queue briefly, then are rejected with
-                     one `overloaded` line (default 4096 — connections
-                     cost the poll(2) reactor an fd, not a thread).
+                     Serve at most N concurrent connections; one beyond
+                     that is answered with one `overloaded` line and
+                     closed (default 4096 — connections cost the poll(2)
+                     reactor an fd, not a thread).
   --drain-secs N     On shutdown, wait up to N seconds for open
                      connections to be answered and flushed before
                      checkpointing journals and exiting (default 5).
@@ -539,11 +539,10 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let defaults = atf_service::ServerConfig::default();
     let server_config = atf_service::ServerConfig {
         // An absent flag keeps the reactor's 4096-slot default.
-        max_connections: serve.max_connections.or(defaults.max_connections),
+        max_connections: serve.max_connections.unwrap_or(defaults.max_connections),
         drain_timeout: serve.drain.unwrap_or(defaults.drain_timeout),
         io_threads: serve.io_threads,
         handlers: serve.handlers,
-        ..defaults
     };
     let server = match atf_service::Server::bind_with(&serve.addr, manager, server_config) {
         Ok(s) => s,

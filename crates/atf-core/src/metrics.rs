@@ -195,7 +195,7 @@ pub struct MetricsRegistry {
     pub shed_opens: Counter,
     /// Work requests (`next`) shed by a tenant's in-flight limit.
     pub shed_requests: Counter,
-    /// Connections rejected at the hard cap (slots and accept queue full).
+    /// Connections rejected at the hard cap (every slot taken).
     pub rejected_connections: Counter,
     /// Sessions checkpointed by a graceful drain.
     pub drained_sessions: Counter,
@@ -205,9 +205,6 @@ pub struct MetricsRegistry {
     pub tenants_active: Gauge,
     /// Connections currently being served.
     pub connections_active: Gauge,
-    /// Accepted connections parked in the bounded accept queue.
-    pub accept_queue_depth: Gauge,
-    accept_queue_peak: AtomicU64,
     /// Records appended to the tuning-database log.
     pub db_appends: Counter,
     /// Tuning-database compactions (log folded into a checkpoint).
@@ -256,8 +253,6 @@ impl Default for MetricsRegistry {
             sessions_active: Gauge::default(),
             tenants_active: Gauge::default(),
             connections_active: Gauge::default(),
-            accept_queue_depth: Gauge::default(),
-            accept_queue_peak: AtomicU64::new(0),
             db_appends: Counter::default(),
             db_compactions: Counter::default(),
             reactor_io_threads: Gauge::default(),
@@ -325,13 +320,6 @@ impl MetricsRegistry {
         self.workers_busy.dec();
         self.busy_micros
             .add(u64::try_from(busy_for.as_micros()).unwrap_or(u64::MAX));
-    }
-
-    /// Sets the accept-queue depth gauge (and tracks its peak).
-    pub fn set_accept_queue_depth(&self, n: usize) {
-        self.accept_queue_depth.set(n as u64);
-        self.accept_queue_peak
-            .fetch_max(n as u64, Ordering::Relaxed);
     }
 
     /// Declares the reactor's thread layout (io threads + handler pool).
@@ -436,8 +424,6 @@ impl MetricsRegistry {
                 sessions_active: self.sessions_active.get(),
                 tenants_active: self.tenants_active.get(),
                 connections_active: self.connections_active.get(),
-                accept_queue_depth: self.accept_queue_depth.get(),
-                accept_queue_peak: self.accept_queue_peak.load(Ordering::Relaxed),
             },
             db_appends: self.db_appends.get(),
             db_compactions: self.db_compactions.get(),
@@ -539,10 +525,6 @@ pub struct AdmissionSnapshot {
     pub tenants_active: u64,
     /// Connections being served at snapshot time.
     pub connections_active: u64,
-    /// Accept-queue depth at snapshot time.
-    pub accept_queue_depth: u64,
-    /// Highest accept-queue depth seen.
-    pub accept_queue_peak: u64,
 }
 
 /// Frozen view of the event-driven server's reactor gauges. All-zero when
@@ -769,22 +751,18 @@ mod tests {
     }
 
     #[test]
-    fn admission_counters_and_queue_peak() {
+    fn admission_counters_and_summary() {
         let m = MetricsRegistry::new();
         m.admitted_sessions.add(3);
         m.shed_opens.add(2);
         m.shed_requests.inc();
         m.rejected_connections.inc();
-        m.set_accept_queue_depth(5);
-        m.set_accept_queue_depth(1);
         m.sessions_active.inc();
         let s = m.snapshot();
         assert_eq!(s.admission.admitted_sessions, 3);
         assert_eq!(s.admission.shed_opens, 2);
         assert_eq!(s.admission.shed_requests, 1);
         assert_eq!(s.admission.rejected_connections, 1);
-        assert_eq!(s.admission.accept_queue_depth, 1);
-        assert_eq!(s.admission.accept_queue_peak, 5);
         assert_eq!(s.admission.sessions_active, 1);
         assert!(s.summary().contains("3 admitted"), "{}", s.summary());
     }

@@ -40,6 +40,7 @@ pub mod manager;
 pub mod proto;
 pub(crate) mod reactor;
 pub mod server;
+mod sys;
 
 pub use chaos::{ChaosCounters, ChaosPlan, ChaosProxy, ChaosState, ChaosTransport};
 pub use client::{

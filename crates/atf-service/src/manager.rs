@@ -10,7 +10,7 @@
 use crate::proto::{codes, config_to_wire, Request, Response};
 use atf_core::cost::{CostError, FailureKind};
 use atf_core::db::{DatabaseLog, TuningDatabase};
-use atf_core::metrics::MetricsRegistry;
+use atf_core::metrics::{Counter, MetricsRegistry};
 use atf_core::session::{Handout, TuningSession};
 use atf_core::spec;
 use atf_core::status::TuningStatus;
@@ -306,7 +306,7 @@ impl SessionManager {
 
     /// The service-level metrics registry: admission and shed counters,
     /// session/tenant gauges, and (when a server is attached) connection
-    /// and accept-queue gauges.
+    /// and reactor gauges.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -339,18 +339,24 @@ impl SessionManager {
         self.metrics.tenants_active.set(active as u64);
     }
 
-    /// Builds (and counts, and traces) one shed response.
-    fn shed(&self, tenant: &str, reason: &str, is_open: bool) -> Response {
+    /// Builds (and counts in `counter`, and traces) one shed response.
+    fn shed(&self, tenant: &str, reason: &str, counter: &Counter) -> Response {
         let retry_after_ms =
             u64::try_from(self.config.admission.retry_after.as_millis()).unwrap_or(u64::MAX);
-        if is_open {
-            self.metrics.shed_opens.inc();
-        } else {
-            self.metrics.shed_requests.inc();
-        }
+        counter.inc();
         self.trace
             .emit(&TraceEvent::shed(tenant, reason, retry_after_ms));
         Response::overloaded(reason, retry_after_ms)
+    }
+
+    /// The answer to a connection arriving while every server slot is
+    /// taken: a shed like any other, counted in `rejected_connections`.
+    pub(crate) fn shed_connection(&self) -> Response {
+        self.shed(
+            "connection",
+            "connection hard cap: every slot taken",
+            &self.metrics.rejected_connections,
+        )
     }
 
     /// Reserves one session slot for `tenant`, or returns the shed
@@ -367,7 +373,7 @@ impl SessionManager {
                 return Err(Box::new(self.shed(
                     tenant,
                     &format!("session quota exhausted ({live}/{cap} sessions live)"),
-                    true,
+                    &self.metrics.shed_opens,
                 )));
             }
         }
@@ -379,7 +385,7 @@ impl SessionManager {
                 return Err(Box::new(self.shed(
                     tenant,
                     &format!("tenant session quota exhausted ({live}/{cap} sessions live)"),
-                    true,
+                    &self.metrics.shed_opens,
                 )));
             }
         }
@@ -642,7 +648,7 @@ impl SessionManager {
                 return self.shed(
                     &managed.tenant,
                     "tenant in-flight evaluation limit reached",
-                    false,
+                    &self.metrics.shed_requests,
                 );
             }
             let mut resp = Response::ok();
@@ -1059,8 +1065,8 @@ impl SessionManager {
     }
 
     /// Sweep-safe stats snapshotting: a failed `stats.ndjson` append (full
-    /// disk, permissions, the directory vanishing) must not kill the
-    /// sweep thread or any session — the telemetry file is an observers'
+    /// disk, permissions, the directory vanishing) must not end the
+    /// sweeps or any session — the telemetry file is an observers'
     /// convenience, not session state. The first failure of an outage is
     /// logged; repeats stay quiet until a sweep succeeds again.
     pub fn sweep_stats(&self) -> usize {

@@ -1,156 +1,79 @@
 //! The event-driven connection engine behind [`crate::server::Server`]: a
-//! `poll(2)`-based reactor owning every connection socket, so thousands of
-//! mostly-idle connections cost file descriptors and buffer space — not a
-//! thread each.
+//! `poll(2)`-based reactor owning the listener and every connection
+//! socket, so thousands of mostly-idle connections cost file descriptors
+//! and buffer space — not a thread each.
 //!
 //! Layout: `io_threads` poll loops each own a disjoint set of nonblocking
-//! sockets (round-robin assignment at accept). A loop reads whatever the
-//! kernel has, frames it into NDJSON request lines, and hands complete
+//! sockets, and every loop also polls the shared listener: on readiness a
+//! loop accepts at most one connection and adopts it, so a burst spreads
+//! across the loops with no hand-off. A connection past `max_connections`
+//! is answered with one `overloaded` line and closed. A loop reads whatever
+//! the kernel has, frames it into NDJSON request lines, and hands complete
 //! lines to a fixed pool of `handlers` threads that call
 //! [`SessionManager::handle_line`]; responses travel back through a
-//! per-loop completion queue and a self-pipe wakeup, and are flushed from
+//! per-loop completion queue and a wake-socket byte, and are flushed from
 //! per-connection write buffers. Requests of one connection are served
 //! strictly in arrival order (at most one line of a connection is with the
 //! pool at a time), preserving the wire contract of the former
 //! thread-per-connection server.
 //!
-//! The `poll`/`pipe`/`fcntl` calls are minimal hand-declared FFI in the
-//! repo's vendored-only style — the same approach as the self-pipe SIGINT
-//! handler that preceded this module.
-//!
 //! Shutdown honors the "answered, never hung up on" contract: when the
-//! shutdown flag rises, each loop performs one final read sweep per
-//! connection — slurping every byte the kernel has already acknowledged,
-//! framing and dispatching the complete lines — and then only flushes;
-//! a connection closes once its last buffered request has been answered
-//! (or the drain deadline forces the issue).
+//! shutdown flag rises, each loop stops polling the listener and performs
+//! one final read sweep per connection — slurping every byte the kernel
+//! has already acknowledged, framing and dispatching the complete lines —
+//! and then only flushes; a connection closes once its last buffered
+//! request has been answered (or the drain deadline forces the issue).
 
 #![cfg(unix)]
 
 use crate::manager::SessionManager;
-use crate::server::ShutdownHandle;
+use crate::proto::Response;
+use crate::server::{ServerConfig, ShutdownHandle};
+use crate::sys::{poll_fds, PollFd, POLLERR, POLLIN, POLLNVAL, POLLOUT};
 use atf_core::metrics::MetricsRegistry;
+use atf_core::trace::TraceEvent;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::os::unix::io::AsRawFd;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// ---- minimal poll/pipe FFI ------------------------------------------------
-
-#[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLNVAL: i16 = 0x020;
-
-#[cfg(target_os = "linux")]
-type Nfds = u64;
-#[cfg(not(target_os = "linux"))]
-type Nfds = u32;
-
-#[cfg(target_os = "linux")]
-const O_NONBLOCK: i32 = 0o4000;
-#[cfg(not(target_os = "linux"))]
-const O_NONBLOCK: i32 = 0x0004;
-
-const F_GETFL: i32 = 3;
-const F_SETFL: i32 = 4;
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
-    fn pipe(fds: *mut i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    fn close(fd: i32) -> i32;
-    fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-}
-
-/// Opens a plain (blocking) pipe; `(read_fd, write_fd)` on success.
-pub(crate) fn make_pipe() -> Option<(i32, i32)> {
-    let mut fds = [0i32; 2];
-    if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
-        return None;
-    }
-    Some((fds[0], fds[1]))
-}
-
-/// Closes a raw fd (errors ignored — close is best-effort teardown).
-pub(crate) fn close_fd(fd: i32) {
-    unsafe {
-        close(fd);
-    }
-}
-
-/// Writes one byte to `fd`. Async-signal-safe (a single `write(2)`); a
-/// full pipe or closed peer is ignored — a pending byte already wakes.
-pub(crate) fn write_byte(fd: i32) {
-    unsafe {
-        write(fd, b"!".as_ptr(), 1);
-    }
-}
-
-/// Blocking single-byte read used by the SIGINT watcher; returns the raw
-/// `read(2)` result (1 data, 0 EOF, -1 error/EINTR).
-pub(crate) fn read_byte(fd: i32, buf: &mut [u8; 1]) -> isize {
-    unsafe { read(fd, buf.as_mut_ptr(), 1) }
-}
-
-fn set_nonblocking_fd(fd: i32) -> bool {
-    let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-    flags >= 0 && unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } >= 0
-}
-
 // ---- wakeups --------------------------------------------------------------
 
-/// Self-pipe waker: any thread calls [`wake`](WakePipe::wake) (one
-/// nonblocking byte), the owning poll loop has the read end in its set and
-/// drains it at the top of every iteration.
+/// Self-pipe waker over a socket pair: any thread calls
+/// [`wake`](WakePipe::wake) (one nonblocking byte), the owning poll loop
+/// has the read end in its set and drains it at the top of every
+/// iteration.
 pub(crate) struct WakePipe {
-    read_fd: i32,
-    write_fd: i32,
+    rx: UnixStream,
+    tx: UnixStream,
 }
 
 impl WakePipe {
     fn new() -> std::io::Result<Self> {
-        let (read_fd, write_fd) = make_pipe().ok_or_else(std::io::Error::last_os_error)?;
-        if !set_nonblocking_fd(read_fd) || !set_nonblocking_fd(write_fd) {
-            close_fd(read_fd);
-            close_fd(write_fd);
-            return Err(std::io::Error::last_os_error());
-        }
-        Ok(WakePipe { read_fd, write_fd })
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(WakePipe { rx, tx })
     }
 
-    /// Wakes the owning poll loop (idempotent while a byte is pending).
+    /// Wakes the owning poll loop (idempotent while a byte is pending: a
+    /// full buffer fails the write, and the pending bytes already wake).
     pub(crate) fn wake(&self) {
-        write_byte(self.write_fd);
+        let _ = (&self.tx).write(b"!");
     }
 
     fn drain(&self) {
         let mut scratch = [0u8; 64];
-        loop {
-            let n = unsafe { read(self.read_fd, scratch.as_mut_ptr(), scratch.len()) };
-            if n <= 0 {
-                return;
-            }
-        }
+        while matches!((&self.rx).read(&mut scratch), Ok(n) if n > 0) {}
     }
-}
 
-impl Drop for WakePipe {
-    fn drop(&mut self) {
-        close_fd(self.read_fd);
-        close_fd(self.write_fd);
+    fn fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
     }
 }
 
@@ -388,38 +311,110 @@ fn dispatch_next(token: u64, conn: &mut Conn, pool: &HandlerPool, shared: &Arc<I
     }
 }
 
+/// Reads whatever the kernel has for `conn`, frames it, and hands the
+/// oldest complete line to the pool.
+fn read_and_dispatch(
+    token: u64,
+    conn: &mut Conn,
+    scratch: &mut [u8],
+    pool: &HandlerPool,
+    shared: &Arc<IoShared>,
+) {
+    match fill_from_socket(conn, scratch) {
+        SocketRead::Blocked => {}
+        SocketRead::Eof => conn.peer_closed = true,
+        SocketRead::Error => conn.failed = true,
+    }
+    frame_lines(conn);
+    dispatch_next(token, conn, pool, shared);
+}
+
 // ---- the poll loops -------------------------------------------------------
 
-/// State shared between one poll loop, the accept loop, and the handlers.
+/// State shared between one poll loop, the handlers, and the shutdown
+/// handle (which pokes `wake` so a drain starts at once, not after a park).
 pub(crate) struct IoShared {
-    wake: WakePipe,
-    /// Connections accepted but not yet registered with this loop.
-    registrations: Mutex<Vec<TcpStream>>,
+    pub(crate) wake: WakePipe,
     /// `(token, response line)` pairs produced by handler threads.
     completions: Mutex<Vec<(u64, String)>>,
     /// Drain deadline elapsed: close everything and exit.
     force_stop: AtomicBool,
 }
 
-struct IoCtx {
-    shared: Arc<IoShared>,
+/// What every poll loop shares: the listener and its slot accounting, the
+/// handler pool, and the shutdown signal.
+struct Engine {
+    listener: TcpListener,
+    max_connections: usize,
+    /// Open connections. A loop reserves a slot here before it adopts one.
+    active: AtomicUsize,
+    /// The first non-transient `accept` error. It shuts the server down
+    /// and [`Reactor::stop_and_join`] returns it after the drain.
+    accept_error: Mutex<Option<std::io::Error>>,
     pool: Arc<HandlerPool>,
+    manager: Arc<SessionManager>,
     shutdown: ShutdownHandle,
-    active: Arc<AtomicUsize>,
-    metrics: Arc<MetricsRegistry>,
 }
 
-impl IoCtx {
+impl Engine {
     fn close_counters(&self, registered: bool) {
         self.active.fetch_sub(1, Ordering::SeqCst);
-        self.metrics.connections_active.dec();
+        self.manager.metrics().connections_active.dec();
         if registered {
-            self.metrics.reactor_fds.dec();
+            self.manager.metrics().reactor_fds.dec();
         }
+    }
+
+    /// Takes at most one connection off the listener: adopts it into
+    /// `conns` while a slot is free, else answers it `overloaded` and
+    /// closes it.
+    fn accept(&self, conns: &mut HashMap<u64, Conn>, next_token: &mut u64) {
+        let stream = match self.listener.accept() {
+            Ok((stream, _peer)) => stream,
+            // Another loop took the connection, or a signal cut in.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => return,
+            Err(e) => {
+                // Stop serving; the drain still answers open connections.
+                self.accept_error.lock().get_or_insert(e);
+                self.shutdown.signal();
+                return;
+            }
+        };
+        // Reserve first, check second: concurrent loops never over-admit.
+        if self.active.fetch_add(1, Ordering::SeqCst) >= self.max_connections {
+            self.active.fetch_sub(1, Ordering::SeqCst);
+            reject(stream, &self.manager.shed_connection());
+            return;
+        }
+        self.manager.metrics().connections_active.inc();
+        if stream.set_nonblocking(true).is_err() {
+            self.close_counters(false);
+            return;
+        }
+        // Replies are whole lines written as soon as they exist; Nagle
+        // would hold each behind the peer's delayed ACK of the last.
+        stream.set_nodelay(true).ok();
+        let fd = stream.as_raw_fd();
+        conns.insert(*next_token, Conn::new(stream, fd));
+        *next_token += 1;
+        self.manager.metrics().reactor_fds.inc();
     }
 }
 
-fn io_loop(ctx: IoCtx) {
+/// The hard-cap answer: one `overloaded` line in a single nonblocking
+/// write (a fresh socket's send buffer has room for it), then close — a
+/// storm gets answers, not hangs, and never stalls the loop.
+fn reject(stream: TcpStream, response: &Response) {
+    let Ok(mut line) = serde_json::to_string(response) else {
+        return;
+    };
+    line.push('\n');
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = (&stream).write(line.as_bytes());
+    }
+}
+
+fn io_loop(shared: Arc<IoShared>, engine: Arc<Engine>) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 0;
     let mut pollfds: Vec<PollFd> = Vec::new();
@@ -427,28 +422,12 @@ fn io_loop(ctx: IoCtx) {
     let mut scratch = vec![0u8; 16 * 1024];
 
     loop {
-        // Order matters: drain the wake pipe *before* taking completions
-        // and registrations, so a producer that appends afterwards leaves
-        // a fresh byte and the next poll returns immediately.
-        ctx.shared.wake.drain();
+        // Order matters: drain the wake pipe *before* taking completions,
+        // so a producer that appends afterwards leaves a fresh byte and
+        // the next poll returns immediately.
+        shared.wake.drain();
 
-        let arrived: Vec<TcpStream> = std::mem::take(&mut *ctx.shared.registrations.lock());
-        for stream in arrived {
-            if stream.set_nonblocking(true).is_err() {
-                ctx.close_counters(false);
-                continue;
-            }
-            // Replies are whole lines written as soon as they exist; Nagle
-            // would hold each behind the peer's delayed ACK of the last.
-            stream.set_nodelay(true).ok();
-            let fd = stream.as_raw_fd();
-            let token = next_token;
-            next_token += 1;
-            conns.insert(token, Conn::new(stream, fd));
-            ctx.metrics.reactor_fds.inc();
-        }
-
-        let completed: Vec<(u64, String)> = std::mem::take(&mut *ctx.shared.completions.lock());
+        let completed: Vec<(u64, String)> = std::mem::take(&mut *shared.completions.lock());
         for (token, reply) in completed {
             // The connection may have failed and closed while its request
             // was being served; the response is then undeliverable.
@@ -459,7 +438,7 @@ fn io_loop(ctx: IoCtx) {
             conn.write_buf.extend_from_slice(reply.as_bytes());
             conn.write_buf.push(b'\n');
             conn.dispatched = false;
-            dispatch_next(token, conn, &ctx.pool, &ctx.shared);
+            dispatch_next(token, conn, &engine.pool, &shared);
             if !flush(conn) {
                 conn.failed = true;
             }
@@ -468,53 +447,56 @@ fn io_loop(ctx: IoCtx) {
         // Shutdown: one final read sweep per connection picks up every
         // request the kernel has already received bytes for — those are
         // answered before the connection closes. Checked every iteration
-        // so a connection registered *after* the first sweep (accepted
-        // just before the signal) is swept too.
-        if ctx.shutdown.is_signaled() || ctx.shared.force_stop.load(Ordering::SeqCst) {
+        // so a connection accepted in the poll that raced the signal is
+        // swept too.
+        let stopping = engine.shutdown.is_signaled() || shared.force_stop.load(Ordering::SeqCst);
+        if stopping {
             for (&token, conn) in conns.iter_mut() {
                 if conn.draining {
                     continue;
                 }
                 if !conn.peer_closed && !conn.failed {
-                    match fill_from_socket(conn, &mut scratch) {
-                        SocketRead::Blocked => {}
-                        SocketRead::Eof => conn.peer_closed = true,
-                        SocketRead::Error => conn.failed = true,
-                    }
-                    frame_lines(conn);
-                    dispatch_next(token, conn, &ctx.pool, &ctx.shared);
+                    read_and_dispatch(token, conn, &mut scratch, &engine.pool, &shared);
                 }
                 conn.draining = true;
             }
         }
 
-        if ctx.shared.force_stop.load(Ordering::SeqCst) {
+        if shared.force_stop.load(Ordering::SeqCst) {
             for _ in conns.drain() {
-                ctx.close_counters(true);
+                engine.close_counters(true);
             }
         }
         conns.retain(|_, conn| {
             if conn.closable() {
-                ctx.close_counters(true);
+                engine.close_counters(true);
                 false
             } else {
                 true
             }
         });
 
-        if (ctx.shutdown.is_signaled() || ctx.shared.force_stop.load(Ordering::SeqCst))
-            && conns.is_empty()
-        {
+        if stopping && conns.is_empty() {
             return;
         }
 
+        // Slot 0 is the wake pipe; slot 1 the listener until shutdown (a
+        // draining loop adopts no new connection).
         pollfds.clear();
         poll_tokens.clear();
         pollfds.push(PollFd {
-            fd: ctx.shared.wake.read_fd,
+            fd: shared.wake.fd(),
             events: POLLIN,
             revents: 0,
         });
+        if !stopping {
+            pollfds.push(PollFd {
+                fd: engine.listener.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            });
+        }
+        let first_conn = pollfds.len();
         for (&token, conn) in &conns {
             let mut events = 0i16;
             if conn.wants_read() {
@@ -532,34 +514,27 @@ fn io_loop(ctx: IoCtx) {
                 poll_tokens.push(token);
             }
         }
-        let n = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as Nfds, POLL_PARK_MS) };
-        if n < 0 {
-            if std::io::Error::last_os_error().kind() == std::io::ErrorKind::Interrupted {
+        match poll_fds(&mut pollfds, POLL_PARK_MS) {
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => {
+                // A failing poll(2) with live fds should not spin hot.
+                std::thread::sleep(Duration::from_millis(5));
                 continue;
             }
-            // A failing poll(2) with live fds should not spin hot.
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
         }
 
-        for (i, pfd) in pollfds.iter().enumerate().skip(1) {
+        for (pfd, &token) in pollfds[first_conn..].iter().zip(&poll_tokens) {
             if pfd.revents == 0 {
                 continue;
             }
-            let token = poll_tokens[i - 1];
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
             // Read before inspecting error bits: POLLHUP often arrives
             // together with the final data, which must still be framed.
             if pfd.revents & POLLIN != 0 {
-                match fill_from_socket(conn, &mut scratch) {
-                    SocketRead::Blocked => {}
-                    SocketRead::Eof => conn.peer_closed = true,
-                    SocketRead::Error => conn.failed = true,
-                }
-                frame_lines(conn);
-                dispatch_next(token, conn, &ctx.pool, &ctx.shared);
+                read_and_dispatch(token, conn, &mut scratch, &engine.pool, &shared);
             }
             if pfd.revents & POLLOUT != 0 && !flush(conn) {
                 conn.failed = true;
@@ -568,69 +543,72 @@ fn io_loop(ctx: IoCtx) {
                 conn.failed = true;
             }
         }
+        if !stopping && pollfds[1].revents != 0 {
+            engine.accept(&mut conns, &mut next_token);
+        }
     }
 }
 
 // ---- the reactor front ----------------------------------------------------
 
-/// Handle owned by the accept loop: dispatches accepted connections to the
-/// poll loops and tears the whole engine down at drain end.
+/// Handle owned by [`Server::run`](crate::server::Server::run): the slot
+/// count the drain waits on, and the teardown of the whole engine.
 pub(crate) struct Reactor {
-    io: Vec<Arc<IoShared>>,
-    pool: Arc<HandlerPool>,
-    io_handles: Vec<std::thread::JoinHandle<()>>,
-    handler_handles: Vec<std::thread::JoinHandle<()>>,
-    next_io: AtomicUsize,
-    active: Arc<AtomicUsize>,
-    metrics: Arc<MetricsRegistry>,
+    engine: Arc<Engine>,
+    loops: Vec<(Arc<IoShared>, std::thread::JoinHandle<()>)>,
+    handlers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Spawns `io_threads` poll loops and `handlers` handler threads. The
-    /// shutdown handle's signal wakes every poll loop immediately (their
-    /// wake pipes are registered as signal wakers).
+    /// Spawns the poll loops, which accept from `listener` from then on,
+    /// and the handler pool. The shutdown handle's signal wakes every poll
+    /// loop immediately (their wake pipes are registered as signal wakers).
     pub(crate) fn start(
-        manager: Arc<SessionManager>,
-        shutdown: ShutdownHandle,
-        io_threads: usize,
-        handlers: usize,
+        listener: TcpListener,
+        manager: &Arc<SessionManager>,
+        shutdown: &ShutdownHandle,
+        config: &ServerConfig,
     ) -> std::io::Result<Self> {
+        let io_threads = config.resolved_io_threads();
+        let handlers = config.resolved_handlers();
         let metrics = Arc::clone(manager.metrics());
-        let active = Arc::new(AtomicUsize::new(0));
+        metrics.set_reactor_threads(io_threads, handlers);
+        manager
+            .trace_sink()
+            .emit(&TraceEvent::reactor(io_threads, handlers));
         let pool = Arc::new(HandlerPool {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             stop: AtomicBool::new(false),
-            metrics: Arc::clone(&metrics),
+            metrics,
         });
-        let mut io = Vec::with_capacity(io_threads);
-        let mut io_handles = Vec::with_capacity(io_threads);
-        for i in 0..io_threads.max(1) {
+        let engine = Arc::new(Engine {
+            listener,
+            max_connections: config.max_connections,
+            active: AtomicUsize::new(0),
+            accept_error: Mutex::new(None),
+            pool: Arc::clone(&pool),
+            manager: Arc::clone(manager),
+            shutdown: shutdown.clone(),
+        });
+        let mut loops = Vec::with_capacity(io_threads);
+        for i in 0..io_threads {
             let shared = Arc::new(IoShared {
                 wake: WakePipe::new()?,
-                registrations: Mutex::new(Vec::new()),
                 completions: Mutex::new(Vec::new()),
                 force_stop: AtomicBool::new(false),
             });
             shutdown.register_waker(Arc::clone(&shared));
-            let ctx = IoCtx {
-                shared: Arc::clone(&shared),
-                pool: Arc::clone(&pool),
-                shutdown: shutdown.clone(),
-                active: Arc::clone(&active),
-                metrics: Arc::clone(&metrics),
-            };
-            io_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("atf-io-{i}"))
-                    .spawn(move || io_loop(ctx))?,
-            );
-            io.push(shared);
+            let (loop_shared, loop_engine) = (Arc::clone(&shared), Arc::clone(&engine));
+            let handle = std::thread::Builder::new()
+                .name(format!("atf-io-{i}"))
+                .spawn(move || io_loop(loop_shared, loop_engine))?;
+            loops.push((shared, handle));
         }
         let mut handler_handles = Vec::with_capacity(handlers);
-        for i in 0..handlers.max(1) {
+        for i in 0..handlers {
             let pool = Arc::clone(&pool);
-            let manager = Arc::clone(&manager);
+            let manager = Arc::clone(manager);
             handler_handles.push(
                 std::thread::Builder::new()
                     .name(format!("atf-handler-{i}"))
@@ -638,57 +616,38 @@ impl Reactor {
             );
         }
         Ok(Reactor {
-            io,
-            pool,
-            io_handles,
-            handler_handles,
-            next_io: AtomicUsize::new(0),
-            active,
-            metrics,
+            engine,
+            loops,
+            handlers: handler_handles,
         })
     }
 
-    /// Connections currently owned by the poll loops (the server's slot
-    /// accounting for `max_connections`).
+    /// Connections currently owned by the poll loops.
     pub(crate) fn active(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    /// Hands an accepted connection to a poll loop (round-robin). Counts
-    /// are bumped here — before the loop even sees the socket — so the
-    /// accept loop's slot check can never over-admit.
-    pub(crate) fn dispatch(&self, stream: TcpStream) {
-        self.active.fetch_add(1, Ordering::SeqCst);
-        self.metrics.connections_active.inc();
-        let i = self.next_io.fetch_add(1, Ordering::Relaxed) % self.io.len();
-        self.io[i].registrations.lock().push(stream);
-        self.io[i].wake.wake();
+        self.engine.active.load(Ordering::SeqCst)
     }
 
     /// Drain teardown: stop the handler pool (it finishes whatever is
     /// queued), force-close any connection still open, and join every
     /// thread. Called after the drain wait, so within the deadline this
-    /// finds the loops already empty.
-    pub(crate) fn stop_and_join(self) {
-        self.pool.stop();
-        for shared in &self.io {
+    /// finds the loops already empty. Returns the `accept` error that
+    /// ended serving, if one did.
+    pub(crate) fn stop_and_join(self) -> std::io::Result<()> {
+        self.engine.pool.stop();
+        for (shared, _) in &self.loops {
             shared.force_stop.store(true, Ordering::SeqCst);
             shared.wake.wake();
         }
-        for handle in self.io_handles {
+        for (_, handle) in self.loops {
             let _ = handle.join();
         }
-        for handle in self.handler_handles {
+        for handle in self.handlers {
             let _ = handle.join();
         }
-    }
-}
-
-/// Signal-waker hookup: the shutdown handle pokes every poll loop's wake
-/// pipe so a drain starts within one scheduler slice, not one poll park.
-impl IoShared {
-    pub(crate) fn wake_for_shutdown(&self) {
-        self.wake.wake();
+        match self.engine.accept_error.lock().take() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
 }
 
@@ -731,19 +690,15 @@ mod tests {
         pipe.wake();
         pipe.wake();
         let mut fds = [PollFd {
-            fd: pipe.read_fd,
+            fd: pipe.fd(),
             events: POLLIN,
             revents: 0,
         }];
-        let n = unsafe { poll(fds.as_mut_ptr(), 1, 1000) };
+        let n = poll_fds(&mut fds, 1000).unwrap();
         assert_eq!(n, 1, "a pending byte must make poll return immediately");
         pipe.drain();
-        let mut fds = [PollFd {
-            fd: pipe.read_fd,
-            events: POLLIN,
-            revents: 0,
-        }];
-        let n = unsafe { poll(fds.as_mut_ptr(), 1, 0) };
+        fds[0].revents = 0;
+        let n = poll_fds(&mut fds, 0).unwrap();
         assert_eq!(n, 0, "drained pipe must be quiet");
     }
 }

@@ -1,59 +1,51 @@
-//! The TCP front end: a nonblocking accept loop feeding the `poll(2)`
-//! reactor in [`crate::reactor`] — a small set of event-loop threads owns
-//! every connection socket, and a fixed handler pool serves the framed
-//! request lines against one shared [`SessionManager`]. Connection count
-//! is bounded by file descriptors, not threads.
+//! The TCP front end: binds the listener and runs the `poll(2)` reactor in
+//! [`crate::reactor`] — a small set of event-loop threads owns the
+//! listener and every connection socket, and a fixed handler pool serves
+//! the framed request lines against one shared [`SessionManager`].
+//! Connection count is bounded by file descriptors, not threads.
 //!
-//! Shutdown is condvar-signaled, not sleep-polled: the accept loop parks on
-//! a [`ShutdownHandle`]'s condition variable between accept attempts, and
-//! [`ShutdownHandle::signal`] wakes it immediately — so a programmatic stop
-//! (or SIGINT, routed through a self-pipe watcher thread) takes effect with
-//! bounded latency instead of "whenever the next poll tick comes around".
-//! The signal also pokes every reactor loop's wake pipe, so the graceful
-//! drain — final read sweep, answer every buffered request, flush, close —
-//! starts at once on every connection.
+//! [`Server::run`] keeps no loop of its own but the idle-expiry sweep: it
+//! parks on a [`ShutdownHandle`]'s condition variable between sweeps, and
+//! [`ShutdownHandle::signal`] wakes it immediately — so a programmatic
+//! stop (or SIGINT, routed through a self-pipe watcher thread) takes
+//! effect with bounded latency. The signal also pokes every reactor
+//! loop's wake pipe, so the graceful drain — final read sweep, answer
+//! every buffered request, flush, close — starts at once on every
+//! connection.
 
 use crate::manager::SessionManager;
-use crate::proto::Response;
 use atf_core::trace::TraceEvent;
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::io::Read;
+use std::net::TcpListener;
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Timing and overload-protection settings of a [`Server`]. The defaults
-/// keep the historical accept/sweep/drain behavior: 25 ms accept poll, 5 s
-/// sweep interval, 5 s drain — with the reactor's far higher default
-/// connection ceiling (4096 slots instead of one thread per connection).
+/// How often `run` sweeps: idle sessions expire and, with a journal
+/// directory, per-session stats snapshots are appended.
+const SWEEP_INTERVAL: Duration = Duration::from_secs(5);
+
+/// Overload-protection and sizing settings of a [`Server`]. The defaults:
+/// 4096 connection slots and a 5 s drain, with automatically sized
+/// reactor threads.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Upper bound on how long the accept loop parks when no connection
-    /// is waiting (it is woken early by [`ShutdownHandle::signal`]).
-    pub accept_poll: Duration,
-    /// How often the idle-expiry sweeper runs (idle sessions + stats
-    /// snapshots, one batched pass per shard).
-    pub sweep_interval: Duration,
     /// Bounded connection slots: at most this many connections are open
-    /// concurrently (`None` = bounded only by file descriptors). The
-    /// reactor holds idle connections for the price of an fd and two
-    /// buffers, so the default is 4096 — far above the old
-    /// thread-per-connection comfort zone.
-    pub max_connections: Option<usize>,
-    /// Accepted connections parked while every slot is taken. Beyond this
-    /// the connection is hard-rejected: one `overloaded` response line,
-    /// then close. Only meaningful with `max_connections`.
-    pub accept_queue: usize,
+    /// concurrently; one more is answered with a single `overloaded` line
+    /// (carrying the manager's retry-after hint) and closed. The reactor
+    /// holds idle connections for the price of an fd and two buffers, so
+    /// the default is 4096.
+    pub max_connections: usize,
     /// Graceful-drain deadline: after shutdown is signaled, how long to
     /// wait for open connections to be answered and flushed before
     /// force-closing, checkpointing journals, and exiting anyway.
     pub drain_timeout: Duration,
-    /// Retry-after hint (milliseconds) on hard-rejected connections.
-    pub reject_retry_after_ms: u64,
-    /// Event-loop threads owning the connection sockets. `None` picks a
-    /// small automatic count from available parallelism (1–4).
+    /// Event-loop threads owning the listener and the connection sockets.
+    /// `None` picks a small automatic count from available parallelism
+    /// (1–4).
     pub io_threads: Option<usize>,
     /// Handler threads serving framed request lines against the session
     /// manager. `None` sizes the pool from available parallelism (2–16).
@@ -63,12 +55,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            accept_poll: Duration::from_millis(25),
-            sweep_interval: Duration::from_secs(5),
-            max_connections: Some(4096),
-            accept_queue: 64,
+            max_connections: 4096,
             drain_timeout: Duration::from_secs(5),
-            reject_retry_after_ms: 500,
             io_threads: None,
             handlers: None,
         }
@@ -128,7 +116,7 @@ impl ShutdownHandle {
         }
     }
 
-    /// Requests shutdown and wakes the accept loop and every reactor
+    /// Requests shutdown and wakes [`Server::run`] and every reactor
     /// event loop immediately.
     pub fn signal(&self) {
         self.state.flag.store(true, Ordering::SeqCst);
@@ -137,7 +125,7 @@ impl ShutdownHandle {
             self.state.cv.notify_all();
         }
         for waker in self.state.wakers.lock().iter() {
-            waker.wake_for_shutdown();
+            waker.wake.wake();
         }
     }
 
@@ -146,10 +134,11 @@ impl ShutdownHandle {
         self.state.flag.load(Ordering::SeqCst)
     }
 
-    /// Parks until [`signal`](Self::signal) or for at most `timeout`.
-    pub(crate) fn wait(&self, timeout: Duration) {
+    /// Parks until [`signal`](Self::signal) or for at most `timeout`;
+    /// returns whether shutdown has been requested.
+    pub(crate) fn wait(&self, timeout: Duration) -> bool {
         if self.is_signaled() {
-            return;
+            return true;
         }
         let mut guard = self.state.lock.lock();
         // Re-check under the lock: a signal between the check above and
@@ -157,13 +146,14 @@ impl ShutdownHandle {
         if !self.is_signaled() {
             self.state.cv.wait_for(&mut guard, timeout);
         }
+        self.is_signaled()
     }
 
     /// Registers a reactor loop for immediate wakeup on signal. If the
     /// signal already fired, the loop is woken right away.
     pub(crate) fn register_waker(&self, waker: Arc<crate::reactor::IoShared>) {
         if self.is_signaled() {
-            waker.wake_for_shutdown();
+            waker.wake.wake();
         }
         self.state.wakers.lock().push(waker);
     }
@@ -194,7 +184,7 @@ impl Server {
         Self::bind_with(addr, manager, ServerConfig::default())
     }
 
-    /// Binds with explicit timing/overload settings.
+    /// Binds with explicit overload/sizing settings.
     pub fn bind_with(
         addr: &str,
         manager: Arc<SessionManager>,
@@ -228,123 +218,88 @@ impl Server {
     }
 
     /// Routes SIGINT to a graceful stop of this server: the
-    /// async-signal-safe handler writes one byte to a pre-opened pipe, and
-    /// a watcher thread blocked on that pipe signals the shutdown handle —
-    /// which wakes the accept loop immediately. Uses `signal(2)`/`pipe(2)`
-    /// directly so no extra dependency is needed. Installing it again (for
-    /// another server) reroutes SIGINT to the most recent one and retires
-    /// the previous install completely: its pipe fds are closed and its
-    /// watcher thread joined, so repeated installs leak nothing.
+    /// async-signal-safe handler writes one byte to a socket pair, and a
+    /// watcher thread blocked on the other end signals the shutdown
+    /// handle — which wakes `run` and every reactor loop immediately.
+    /// Installing it again (for another server) reroutes SIGINT to the
+    /// most recent one and retires the previous install completely: its
+    /// socket pair is closed and its watcher thread joined, so repeated
+    /// installs leak nothing.
     pub fn install_sigint(&self) {
-        use std::sync::atomic::AtomicI32;
-
-        /// Write end of the self-pipe, shared with the signal handler.
-        static SIGNAL_PIPE_WRITE: AtomicI32 = AtomicI32::new(-1);
-        /// The previous install's write fd and watcher thread, retired
-        /// (fd closed → watcher sees EOF → joined) by the next install.
-        /// The lock also serializes concurrent installs.
-        static PREVIOUS: std::sync::Mutex<Option<(i32, std::thread::JoinHandle<()>)>> =
+        /// The current install's write end and watcher thread, retired
+        /// (write end closed → watcher sees EOF → joined) by the next
+        /// install. The lock also serializes concurrent installs.
+        static CURRENT: std::sync::Mutex<Option<(UnixStream, std::thread::JoinHandle<()>)>> =
             std::sync::Mutex::new(None);
 
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        extern "C" fn on_sigint(_sig: i32) {
-            // Async-signal-safe: a single write(2) on the self-pipe.
-            let fd = SIGNAL_PIPE_WRITE.load(Ordering::SeqCst);
-            if fd >= 0 {
-                crate::reactor::write_byte(fd);
-            }
-        }
-
-        const SIGINT: i32 = 2;
-        let mut previous = match PREVIOUS.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let Some((read_fd, write_fd)) = crate::reactor::make_pipe() else {
+        let mut current = CURRENT
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let Ok((mut read_end, write_end)) = UnixStream::pair() else {
             return;
         };
+        if write_end.set_nonblocking(true).is_err() {
+            return;
+        }
         let handle = self.shutdown_handle();
         let watcher = std::thread::spawn(move || {
             let mut buf = [0u8; 1];
             loop {
-                let n = crate::reactor::read_byte(read_fd, &mut buf);
-                if n > 0 {
-                    // Keep watching after a signal: a reinstall retires
-                    // this thread via EOF, repeated SIGINTs are idempotent.
-                    handle.signal();
-                    continue;
-                }
-                if n == 0 {
-                    break; // write end closed (reinstall)
-                }
-                if std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
-                    break;
+                match read_end.read(&mut buf) {
+                    // EOF: the write end was closed by a reinstall.
+                    Ok(0) => return,
+                    // Keep watching after a signal: repeated SIGINTs are
+                    // idempotent, and only a reinstall retires this thread.
+                    Ok(_) => handle.signal(),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => return,
                 }
             }
-            crate::reactor::close_fd(read_fd);
         });
-        let stale_write = SIGNAL_PIPE_WRITE.swap(write_fd, Ordering::SeqCst);
-        unsafe {
-            signal(SIGINT, on_sigint as *const () as usize);
-        }
-        if let Some((old_write, old_watcher)) = previous.take() {
-            debug_assert_eq!(old_write, stale_write);
-            // Closing the stale write end EOFs the old watcher's read(2);
-            // it closes its read end and exits, so the join is bounded.
-            crate::reactor::close_fd(old_write);
+        crate::sys::route_sigint(write_end.as_raw_fd());
+        if let Some((old_write, old_watcher)) = current.replace((write_end, watcher)) {
+            // SIGINT no longer writes to the old write end; closing it
+            // EOFs the old watcher's read, so the join is bounded.
+            drop(old_write);
             let _ = old_watcher.join();
         }
-        *previous = Some((write_fd, watcher));
     }
 
-    /// Serves until shutdown, then drains gracefully: stop accepting,
-    /// answer queued connections with `overloaded`, join the idle-expiry
-    /// sweeper (so drain never races a sweep that is removing sessions),
-    /// sweep every open connection for requests the kernel has already
+    /// Serves until shutdown, sweeping idle sessions every 5 s on this
+    /// thread, then drains gracefully: the reactor stops accepting and
+    /// sweeps every open connection for requests the kernel has already
     /// received — each one is answered and flushed before its connection
-    /// closes — wait up to the drain deadline, checkpoint every live
-    /// session's journal to a resumable artifact, and persist the
-    /// database.
+    /// closes — `run` waits up to the drain deadline, checkpoints every
+    /// live session's journal to a resumable artifact, and persists the
+    /// database. A failed `accept` ends serving the same way and is
+    /// returned after the drain.
     pub fn run(self) -> std::io::Result<()> {
-        // The idle-expiry sweeper runs in its own thread so a slow sweep
-        // (database merges, stats I/O) never stalls the accept loop —
-        // and, with configurable intervals, a long sweep period never
-        // delays accept-side shutdown latency. It parks on the shutdown
-        // condvar, so SIGINT wakes it immediately.
-        let sweeper = {
-            let manager = Arc::clone(&self.manager);
-            let shutdown = self.shutdown.clone();
-            let interval = self.config.sweep_interval;
-            std::thread::spawn(move || loop {
-                shutdown.wait(interval);
-                // Checked *after* the park and before each sweep: once
-                // shutdown is signaled no new sweep starts, so joining
-                // this thread bounds the wait to at most one in-progress
-                // sweep. One batched pass takes each shard lock once for
-                // both idle expiry and the per-session stats snapshot;
-                // stats write failures are swallowed (and logged once per
-                // outage) — telemetry trouble must never end the sweep.
-                if shutdown.is_signaled() {
-                    return;
-                }
-                manager.sweep();
-            })
-        };
-
-        let served = self.serve_connections();
+        let reactor = crate::reactor::Reactor::start(
+            self.listener,
+            &self.manager,
+            &self.shutdown,
+            &self.config,
+        )?;
+        // Sweeps run here, between parks, so the drain below never races
+        // one that is removing sessions. One batched pass takes each shard
+        // lock once for both idle expiry and the per-session stats
+        // snapshot; stats write failures are swallowed (and logged once
+        // per outage) — telemetry trouble must never end serving.
+        while !self.shutdown.wait(SWEEP_INTERVAL) {
+            self.manager.sweep();
+        }
 
         // ---- graceful drain ----
+        // The reactor loops were woken by the signal and are running the
+        // final read sweep: every request with bytes already in the
+        // kernel gets framed, served, and flushed before its connection
+        // closes. Wait for that to finish (or the deadline).
         let drain_started = Instant::now();
-        // Join the sweeper before touching journals: once the signal is
-        // up no new sweep starts, so this waits out at most one
-        // in-progress sweep — drain and the idle-expiry sweeper never
-        // operate on the session table at the same time.
-        self.shutdown.signal();
-        let _ = sweeper.join();
-        let (active, within_deadline) = served?;
-        debug_assert_eq!(active, 0, "connection engine joined with conns open");
+        while reactor.active() > 0 && drain_started.elapsed() < self.config.drain_timeout {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let within_deadline = reactor.active() == 0;
+        reactor.stop_and_join()?;
         // Every live session's journal lands as a compact, resumable
         // checkpoint; the sessions themselves stay unfinished so a
         // restart resumes them with `open{resume:true}`.
@@ -366,108 +321,6 @@ impl Server {
             );
         }
         self.manager.persist()
-    }
-
-    /// The connection engine: accept into the `poll(2)` reactor,
-    /// shed past the hard cap, and at shutdown wait out the drain before
-    /// tearing the reactor down. Returns `(still_open, within_deadline)`.
-    fn serve_connections(&self) -> std::io::Result<(usize, bool)> {
-        let io_threads = self.config.resolved_io_threads();
-        let handlers = self.config.resolved_handlers();
-        let metrics = Arc::clone(self.manager.metrics());
-        metrics.set_reactor_threads(io_threads, handlers);
-        self.manager
-            .trace_sink()
-            .emit(&TraceEvent::reactor(io_threads, handlers));
-        let reactor = crate::reactor::Reactor::start(
-            Arc::clone(&self.manager),
-            self.shutdown.clone(),
-            io_threads,
-            handlers,
-        )?;
-        let mut queue: VecDeque<TcpStream> = VecDeque::new();
-        let mut fatal: Option<std::io::Error> = None;
-
-        while !self.shutdown.is_signaled() {
-            // Promote queued connections into freed slots first: FIFO, so
-            // a parked client is served before a newly accepted one.
-            if let Some(cap) = self.config.max_connections {
-                while !queue.is_empty() && reactor.active() < cap {
-                    let stream = queue.pop_front().expect("queue nonempty");
-                    metrics.set_accept_queue_depth(queue.len());
-                    reactor.dispatch(stream);
-                }
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => match self.config.max_connections {
-                    None => reactor.dispatch(stream),
-                    Some(cap) if reactor.active() < cap => reactor.dispatch(stream),
-                    Some(_) if queue.len() < self.config.accept_queue => {
-                        queue.push_back(stream);
-                        metrics.set_accept_queue_depth(queue.len());
-                    }
-                    // Hard cap: every slot and queue position is taken.
-                    // One explicit `overloaded` line, then close — a
-                    // storm gets answers, not hangs.
-                    Some(_) => self.reject_connection(stream),
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.shutdown.wait(self.config.accept_poll);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // Tear the reactor down before surfacing the error —
-                    // the drain below still runs so open connections are
-                    // answered, not abandoned.
-                    self.shutdown.signal();
-                    fatal = Some(e);
-                    break;
-                }
-            }
-        }
-
-        // Queued-but-never-served connections get an explicit answer
-        // instead of a silent close.
-        let drain_started = Instant::now();
-        for stream in queue.drain(..) {
-            self.reject_connection(stream);
-        }
-        metrics.set_accept_queue_depth(0);
-        // The reactor loops were woken by the signal and are running the
-        // final read sweep: every request with bytes already in the
-        // kernel gets framed, served, and flushed before its connection
-        // closes. Wait for that to finish (or the deadline).
-        while reactor.active() > 0 && drain_started.elapsed() < self.config.drain_timeout {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let within_deadline = reactor.active() == 0;
-        reactor.stop_and_join();
-        match fatal {
-            Some(e) => Err(e),
-            None => Ok((0, within_deadline)),
-        }
-    }
-
-    /// Hard-cap rejection: one `overloaded` response line with the
-    /// retry-after hint, then close.
-    fn reject_connection(&self, mut stream: TcpStream) {
-        let reason = "connection hard cap: every slot and queue position taken";
-        self.manager.metrics().rejected_connections.inc();
-        self.manager.trace_sink().emit(&TraceEvent::shed(
-            "connection",
-            reason,
-            self.config.reject_retry_after_ms,
-        ));
-        if let Ok(line) = serde_json::to_string(&Response::overloaded(
-            reason,
-            self.config.reject_retry_after_ms,
-        )) {
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-            let _ = stream.set_nonblocking(false);
-            let _ = stream.write_all(line.as_bytes());
-            let _ = stream.write_all(b"\n");
-            let _ = stream.flush();
-        }
     }
 }
 

@@ -480,20 +480,26 @@ fn graceful_drain_leaves_resumable_journals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// With every slot and queue position taken, a new connection is answered
-/// with one `overloaded` line and closed — and once a slot frees, new
-/// connections are served again.
+/// With every slot taken, a new connection is answered at once with one
+/// `overloaded` line carrying the manager's retry-after hint, counted and
+/// closed — and once a slot frees, new connections are served again.
 #[test]
 fn connection_hard_cap_rejects_with_overloaded_line() {
-    let manager = Arc::new(SessionManager::in_memory());
+    let manager = Arc::new(
+        SessionManager::new(ManagerConfig {
+            admission: AdmissionConfig {
+                retry_after: Duration::from_millis(125),
+                ..AdmissionConfig::default()
+            },
+            ..ManagerConfig::default()
+        })
+        .unwrap(),
+    );
     let server = Server::bind_with(
         "127.0.0.1:0",
         Arc::clone(&manager),
         ServerConfig {
-            accept_poll: Duration::from_millis(5),
-            max_connections: Some(1),
-            accept_queue: 0,
-            reject_retry_after_ms: 125,
+            max_connections: 1,
             ..ServerConfig::default()
         },
     )
@@ -503,13 +509,8 @@ fn connection_hard_cap_rejects_with_overloaded_line() {
     let server_thread = std::thread::spawn(move || server.run());
 
     // Occupy the only slot, proven by a served round trip.
-    let first = TcpStream::connect(addr).unwrap();
-    let mut first_writer = first.try_clone().unwrap();
-    let mut first_reader = BufReader::new(first);
-    first_writer.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
-    let mut line = String::new();
-    first_reader.read_line(&mut line).unwrap();
-    assert!(serde_json::from_str::<Response>(line.trim()).unwrap().ok);
+    let mut holder = Client::connect(addr).unwrap();
+    holder.ping().unwrap();
 
     // The second connection is hard-rejected: one overloaded line, close.
     let second = TcpStream::connect(addr).unwrap();
@@ -520,7 +521,8 @@ fn connection_hard_cap_rejects_with_overloaded_line() {
     let mut reject = String::new();
     second_reader.read_line(&mut reject).unwrap();
     let resp: Response = serde_json::from_str(reject.trim()).unwrap();
-    assert!(resp.is_overloaded(), "{resp:?}");
+    assert!(!resp.ok);
+    assert_eq!(resp.code.as_deref(), Some("overloaded"), "{resp:?}");
     assert_eq!(resp.retry_after_ms, Some(125));
     let mut rest = String::new();
     assert_eq!(
@@ -534,8 +536,7 @@ fn connection_hard_cap_rejects_with_overloaded_line() {
     );
 
     // Free the slot; a fresh connection is served again.
-    drop(first_reader);
-    drop(first_writer);
+    drop(holder);
     let deadline = Instant::now() + Duration::from_secs(5);
     let served = loop {
         let third = TcpStream::connect(addr).unwrap();
@@ -550,8 +551,8 @@ fn connection_hard_cap_rejects_with_overloaded_line() {
         match serde_json::from_str::<Response>(reply.trim()) {
             Ok(resp) if resp.ok => break true,
             _ if Instant::now() > deadline => break false,
-            // Still rejected (the old handler has not noticed the close
-            // yet) — give it a read-poll tick and try again.
+            // Still rejected (the loop has not seen the holder's close
+            // yet) — try again.
             _ => std::thread::sleep(Duration::from_millis(30)),
         }
     };
