@@ -80,6 +80,11 @@ impl Config {
             .map(|(_, v)| v)
     }
 
+    /// The value of the `i`-th appended parameter.
+    pub(crate) fn value_at(&self, i: usize) -> Option<&Value> {
+        self.entries.get(i).map(|(_, v)| v)
+    }
+
     /// Looks up a parameter by name and converts it to `u64`.
     ///
     /// # Panics

@@ -122,6 +122,11 @@ impl BinOp {
 enum Node {
     Const(Value),
     Param(Arc<str>),
+    /// A parameter resolved to its slot: its index among the values a
+    /// [`Slotted`] expression is evaluated against. Only [`Expr::resolve`]
+    /// makes one, so an expression built through the public API never
+    /// holds one.
+    Slot(usize, Arc<str>),
     Binary(BinOp, Expr, Expr),
     Neg(Expr),
 }
@@ -210,7 +215,7 @@ impl Expr {
 
     fn collect_params(&self, out: &mut Vec<Arc<str>>) {
         match &*self.0 {
-            Node::Const(_) => {}
+            Node::Const(_) | Node::Slot(..) => {}
             Node::Param(name) => {
                 if !out.iter().any(|n| n == name) {
                     out.push(name.clone());
@@ -225,109 +230,137 @@ impl Expr {
     }
 
     fn eval_num(&self, config: &Config) -> Result<Num, ExprError> {
+        let leaf = |node: &Node| match node {
+            Node::Param(name) => config.get(name),
+            _ => None,
+        };
+        self.num(&leaf).map_err(Fault::into_error)
+    }
+
+    /// The one evaluator, behind [`Self::eval`] and [`Slotted::eval`]:
+    /// `leaf` looks up the value of a parameter leaf (a `Param` or a
+    /// `Slot` node). A fault only borrows the sub-expression it arose in,
+    /// so a failed evaluation formats, and allocates, nothing until a
+    /// caller asks for the [`ExprError`].
+    fn num<'e, 'v>(&'e self, leaf: &impl Fn(&Node) -> Option<&'v Value>) -> Result<Num, Fault<'e>> {
         match &*self.0 {
-            Node::Const(v) => value_to_num(v, "<const>"),
-            Node::Param(name) => {
-                let v = config
-                    .get(name)
-                    .ok_or_else(|| ExprError::UnknownParam(name.to_string()))?;
-                value_to_num(v, name)
+            Node::Const(v) => value_to_num(v).ok_or(Fault::NonNumeric(self)),
+            node @ (Node::Param(_) | Node::Slot(..)) => {
+                let v = leaf(node).ok_or(Fault::UnknownParam(self))?;
+                value_to_num(v).ok_or(Fault::NonNumeric(self))
             }
-            Node::Neg(e) => Ok(match e.eval_num(config)? {
+            Node::Neg(e) => Ok(match e.num(leaf)? {
                 Num::Int(i) => Num::Int(-i),
                 Num::Float(f) => Num::Float(-f),
             }),
             Node::Binary(op, a, b) => {
-                let a = a.eval_num(config)?;
-                let b = b.eval_num(config)?;
-                apply(*op, a, b, || format!("{self:?}"))
+                let a = a.num(leaf)?;
+                let b = b.num(leaf)?;
+                apply(*op, a, b).ok_or(Fault::DivisionByZero(self))
             }
+        }
+    }
+
+    /// This expression with every parameter leaf resolved to a slot by
+    /// `slot_of`, or `None` if a leaf names a parameter `slot_of` does not
+    /// know. Evaluated against a configuration of exactly the names
+    /// `slot_of` knows, such an expression always fails: every leaf is
+    /// looked up unless an earlier one already failed.
+    pub(crate) fn resolve(&self, slot_of: &dyn Fn(&str) -> Option<usize>) -> Option<Slotted> {
+        Some(Slotted(self.with_slots(slot_of)?))
+    }
+
+    fn with_slots(&self, slot_of: &dyn Fn(&str) -> Option<usize>) -> Option<Expr> {
+        let node = match &*self.0 {
+            Node::Const(_) | Node::Slot(..) => return Some(self.clone()),
+            Node::Param(name) => Node::Slot(slot_of(name)?, name.clone()),
+            Node::Neg(e) => Node::Neg(e.with_slots(slot_of)?),
+            Node::Binary(op, a, b) => {
+                Node::Binary(*op, a.with_slots(slot_of)?, b.with_slots(slot_of)?)
+            }
+        };
+        Some(Expr(Arc::new(node)))
+    }
+}
+
+/// An expression whose parameter leaves are resolved to slots
+/// ([`Expr::resolve`]): it reads slot `i` as the `i`-th entry of the
+/// configuration it is evaluated against, with no name lookup.
+#[derive(Clone, Debug)]
+pub(crate) struct Slotted(Expr);
+
+impl Slotted {
+    /// [`Expr::eval`]'s number with slot `i` read from `values`' `i`-th
+    /// entry; `None` where that evaluation returns an error.
+    pub(crate) fn eval(&self, values: &Config) -> Option<Num> {
+        let leaf = |node: &Node| match node {
+            Node::Slot(i, _) => values.value_at(*i),
+            _ => None,
+        };
+        self.0.num(&leaf).ok()
+    }
+}
+
+/// Why an evaluation failed, borrowing the sub-expression it failed in.
+enum Fault<'e> {
+    UnknownParam(&'e Expr),
+    DivisionByZero(&'e Expr),
+    NonNumeric(&'e Expr),
+}
+
+impl Fault<'_> {
+    fn into_error(self) -> ExprError {
+        match self {
+            Fault::UnknownParam(leaf) => ExprError::UnknownParam(format!("{leaf:?}")),
+            Fault::DivisionByZero(e) => ExprError::DivisionByZero(format!("{e:?}")),
+            Fault::NonNumeric(leaf) => ExprError::NonNumeric(match &*leaf.0 {
+                Node::Const(_) => "<const>".to_string(),
+                _ => format!("{leaf:?}"),
+            }),
         }
     }
 }
 
-fn value_to_num(v: &Value, name: &str) -> Result<Num, ExprError> {
+fn value_to_num(v: &Value) -> Option<Num> {
     match v {
-        Value::Bool(b) => Ok(Num::Int(*b as i128)),
-        Value::Int(i) => Ok(Num::Int(*i as i128)),
-        Value::UInt(u) => Ok(Num::Int(*u as i128)),
-        Value::Float(f) => Ok(Num::Float(*f)),
-        Value::Symbol(_) => Err(ExprError::NonNumeric(name.to_string())),
+        Value::Bool(b) => Some(Num::Int(*b as i128)),
+        Value::Int(i) => Some(Num::Int(*i as i128)),
+        Value::UInt(u) => Some(Num::Int(*u as i128)),
+        Value::Float(f) => Some(Num::Float(*f)),
+        Value::Symbol(_) => None,
     }
 }
 
-fn apply(op: BinOp, a: Num, b: Num, expr: impl Fn() -> String) -> Result<Num, ExprError> {
+/// `a op b`; `None` on division (or remainder) by zero.
+fn apply(op: BinOp, a: Num, b: Num) -> Option<Num> {
     use BinOp::*;
     match (a, b) {
         (Num::Int(a), Num::Int(b)) => match op {
-            Add => Ok(Num::Int(a + b)),
-            Sub => Ok(Num::Int(a - b)),
-            Mul => Ok(Num::Int(a * b)),
-            Div => {
-                if b == 0 {
-                    Err(ExprError::DivisionByZero(expr()))
-                } else {
-                    Ok(Num::Int(a / b))
-                }
-            }
-            Rem => {
-                if b == 0 {
-                    Err(ExprError::DivisionByZero(expr()))
-                } else {
-                    Ok(Num::Int(a % b))
-                }
-            }
-            Min => Ok(Num::Int(a.min(b))),
-            Max => Ok(Num::Int(a.max(b))),
-            CeilDiv => {
-                if b == 0 {
-                    Err(ExprError::DivisionByZero(expr()))
-                } else {
-                    Ok(Num::Int(div_ceil_i128(a, b)))
-                }
-            }
-            RoundUp => {
-                if b == 0 {
-                    Err(ExprError::DivisionByZero(expr()))
-                } else {
-                    Ok(Num::Int(div_ceil_i128(a, b) * b))
-                }
-            }
+            Add => Some(Num::Int(a + b)),
+            Sub => Some(Num::Int(a - b)),
+            Mul => Some(Num::Int(a * b)),
+            Div | Rem | CeilDiv | RoundUp if b == 0 => None,
+            Div => Some(Num::Int(a / b)),
+            Rem => Some(Num::Int(a % b)),
+            Min => Some(Num::Int(a.min(b))),
+            Max => Some(Num::Int(a.max(b))),
+            CeilDiv => Some(Num::Int(div_ceil_i128(a, b))),
+            RoundUp => Some(Num::Int(div_ceil_i128(a, b) * b)),
         },
         _ => {
             let (a, b) = (a.as_f64(), b.as_f64());
-            let r = match op {
+            Some(Num::Float(match op {
                 Add => a + b,
                 Sub => a - b,
                 Mul => a * b,
-                Div => {
-                    if b == 0.0 {
-                        return Err(ExprError::DivisionByZero(expr()));
-                    }
-                    a / b
-                }
-                Rem => {
-                    if b == 0.0 {
-                        return Err(ExprError::DivisionByZero(expr()));
-                    }
-                    a % b
-                }
+                Div | Rem | CeilDiv | RoundUp if b == 0.0 => return None,
+                Div => a / b,
+                Rem => a % b,
                 Min => a.min(b),
                 Max => a.max(b),
-                CeilDiv => {
-                    if b == 0.0 {
-                        return Err(ExprError::DivisionByZero(expr()));
-                    }
-                    (a / b).ceil()
-                }
-                RoundUp => {
-                    if b == 0.0 {
-                        return Err(ExprError::DivisionByZero(expr()));
-                    }
-                    (a / b).ceil() * b
-                }
-            };
-            Ok(Num::Float(r))
+                CeilDiv => (a / b).ceil(),
+                RoundUp => (a / b).ceil() * b,
+            }))
         }
     }
 }
@@ -346,7 +379,7 @@ impl fmt::Debug for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &*self.0 {
             Node::Const(v) => write!(f, "{v}"),
-            Node::Param(p) => write!(f, "{p}"),
+            Node::Param(p) | Node::Slot(_, p) => write!(f, "{p}"),
             Node::Neg(e) => write!(f, "-({e:?})"),
             Node::Binary(op, a, b) => match op {
                 BinOp::Min | BinOp::Max | BinOp::CeilDiv | BinOp::RoundUp => {

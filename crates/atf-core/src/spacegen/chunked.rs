@@ -12,7 +12,7 @@
 //! of ten parameters) now parallelizes internally instead of pinning one
 //! core.
 
-use super::compile::{configs, tail_len, GroupPlan, Prefix};
+use super::compile::{configs, tail_len, GroupPlan, Walker};
 use super::packed::PackedRows;
 use crate::param::ParamGroup;
 use crate::space::{GroupSpace, SpaceError};
@@ -25,6 +25,9 @@ use std::time::Instant;
 /// leading candidates have very uneven subtree sizes (small divisors of a
 /// big target have far more completions than large ones).
 const CHUNKS_PER_THREAD: usize = 4;
+
+/// Rows a chunk admits between two additions to the shared row count.
+const ROWS_PER_PUBLISH: u64 = 1024;
 
 /// Number of generation threads to use by default: the machine's available
 /// parallelism, capped to keep worker startup cheap on very wide hosts.
@@ -54,37 +57,46 @@ pub fn generate_group_chunked(
     let (stored, tail) = ranges.split_at(plan.prefix_len());
     let tail = tail_len(tail);
 
-    // Walks the subtree below `below`, packing its rows into `out`. Row
-    // number `r` (over all chunks) is admitted while `r + 1` rows of
-    // configurations fit the limit, so the walk stops at the first row too
-    // many instead of filling memory first.
+    // Walks the subtree below the walker's prefix, packing its rows into
+    // `out`. A row is admitted while the rows admitted so far fit the
+    // limit, so the walk stops at (with several chunks: soon after) the
+    // first row too many instead of filling memory first. A chunk adds its
+    // rows to the shared count in batches: a counter every worker wrote per
+    // row would bounce between their caches.
     let rows = AtomicU64::new(0);
-    let fill = |below: &mut Prefix, out: &mut PackedRows| {
+    let fill = |walker: &mut Walker, out: &mut PackedRows| {
+        let mut own = 0u64;
         let mut pack = |row: &[u64]| {
-            let admitted = rows.fetch_add(1, Ordering::Relaxed) + 1;
-            if configs(admitted, tail)? > limit {
+            own += 1;
+            if configs(rows.load(Ordering::Relaxed) + own, tail)? > limit {
                 return Err(SpaceError::TooLarge { limit });
             }
             out.push(row);
+            if own == ROWS_PER_PUBLISH {
+                rows.fetch_add(own, Ordering::Relaxed);
+                own = 0;
+            }
             Ok(())
         };
-        plan.walk(below, &mut pack, cancel)
+        let walked = walker.walk(&mut pack, cancel);
+        rows.fetch_add(own, Ordering::Relaxed);
+        walked
     };
 
     // Leading-parameter candidates under the empty prefix. A one-thread
     // pool, a single leading candidate or a prefix of at most the leading
     // parameter leaves nothing to fan out.
+    let mut walker = Walker::new(&plan);
     let mut leading: Vec<(u64, Value)> = Vec::new();
     if threads > 1 && stored.len() > 1 {
-        let empty = Prefix::new(&plan);
-        let mut src = plan.candidates(0, empty.config());
-        while let Some(candidate) = src.next(empty.config()) {
+        walker.bind();
+        while let Some(candidate) = walker.next() {
             leading.push(candidate);
         }
     }
     let mut rows_of_group = PackedRows::new(stored);
     if leading.len() <= 1 {
-        fill(&mut Prefix::new(&plan), &mut rows_of_group)?;
+        fill(&mut walker, &mut rows_of_group)?;
         return GroupSpace::from_rows(plan.names(), ranges, rows_of_group);
     }
 
@@ -105,7 +117,7 @@ pub fn generate_group_chunked(
             let (plan, chunks, next_chunk, fill) = (&plan, &chunks, &next_chunk, &fill);
             handles.push(scope.spawn(move || {
                 let mut results = Vec::new();
-                let mut prefix = Prefix::new(plan);
+                let mut walker = Walker::new(plan);
                 loop {
                     let c = next_chunk.fetch_add(1, Ordering::Relaxed);
                     if c >= chunks.len() {
@@ -114,9 +126,9 @@ pub fn generate_group_chunked(
                     let started = Instant::now();
                     let mut out = PackedRows::new(stored);
                     let walked = chunks[c].iter().try_for_each(|(pos, v)| {
-                        prefix.push(*pos, v.clone());
-                        let walked = fill(&mut prefix, &mut out);
-                        prefix.pop();
+                        walker.push(*pos, v.clone());
+                        let walked = fill(&mut walker, &mut out);
+                        walker.pop();
                         walked
                     });
                     trace.emit(&TraceEvent::space_chunk(
@@ -138,6 +150,12 @@ pub fn generate_group_chunked(
 
     // Deterministic concatenation in chunk order.
     rows_of_group.extend(&slots.into_iter().collect::<Result<Vec<_>, _>>()?);
+    // Rows a chunk had not published yet were invisible to the others'
+    // checks. Past `u64` the count is past any lower limit; at no limit it
+    // is `from_rows`' overflow.
+    if configs(rows_of_group.rows(), tail).map_or(limit < u64::MAX, |n| n > limit) {
+        return Err(SpaceError::TooLarge { limit });
+    }
     GroupSpace::from_rows(plan.names(), ranges, rows_of_group)
 }
 
@@ -230,9 +248,11 @@ mod tests {
         ])
     }
 
-    /// The footprint fence: a generated group keeps one code vector, not a
-    /// heap row per configuration, and generating it allocates per chunk
-    /// (and per walked prefix, as counting does), not per configuration.
+    /// The footprint fence: the walk allocates per group, not per visited
+    /// prefix — counting the cap-16 group (118 936 configurations, ≈30 k
+    /// rows) takes no more allocator calls than compiling its plan and
+    /// setting up one walker's scratch — and a generated group keeps one
+    /// code vector, not a heap row per configuration.
     #[test]
     fn packed_rows_allocate_per_group_not_per_configuration() {
         use crate::test_alloc::footprint;
@@ -244,6 +264,10 @@ mod tests {
         let (space, stored) = footprint(|| generate(1));
         assert_eq!(space.len(), counted);
         assert!(counted > 10_000, "cap 16 is {counted} configurations");
+        assert!(
+            walk.calls <= 256,
+            "{walk:?} to count {counted} configurations"
+        );
         // Storing the rows adds the code vector's regrowths to what the
         // walk itself allocates — nothing that scales with the space.
         assert!(

@@ -17,7 +17,7 @@
 //! [`TuningSession`](crate::session::TuningSession) reads a `SearchSpace`,
 //! which holds packed rows and nothing else.
 
-use super::compile::{CandSource, GroupPlan, Prefix};
+use super::compile::{GroupPlan, Walker};
 use crate::config::Config;
 use crate::param::ParamGroup;
 use crate::space::SpaceError;
@@ -34,13 +34,14 @@ pub const DEFAULT_BLOCK_SIZE: u64 = 1024;
 
 /// A resumable iterative enumerator over one group's valid configurations.
 /// Equivalent to the reference walk over every parameter (it does not stop
-/// at the unconstrained tail), but with an explicit frame stack so the
-/// position after any emitted config can be snapshotted and restored.
+/// at the unconstrained tail), but iterative, so the position after any
+/// emitted config can be snapshotted and restored. The walker's per-depth
+/// cursors are its frames: the parameter at every depth up to the walker's
+/// is bound under the prefix above it.
 pub(crate) struct GroupCursor<'p> {
-    plan: &'p GroupPlan,
-    prefix: Prefix,
-    /// One candidate source per fixed parameter.
-    frames: Vec<CandSource<'p>>,
+    walker: Walker<'p>,
+    /// Number of parameters.
+    len: usize,
     started: bool,
     done: bool,
 }
@@ -48,46 +49,41 @@ pub(crate) struct GroupCursor<'p> {
 impl<'p> GroupCursor<'p> {
     pub(crate) fn new(plan: &'p GroupPlan) -> Self {
         GroupCursor {
-            plan,
-            prefix: Prefix::new(plan),
-            frames: Vec::with_capacity(plan.len()),
+            walker: Walker::new(plan),
+            len: plan.len(),
             started: false,
             done: false,
         }
     }
 
-    /// Fills frames from `d0` to the last depth with the first valid
+    /// Fills depths from `d0` to the last one with the first valid
     /// completion, backtracking within `d0..` as needed. On `false` the
-    /// state is restored to `frames.len() == d0`.
+    /// walker is back at depth `d0`.
     fn descend(&mut self, d0: usize) -> bool {
-        debug_assert_eq!(self.frames.len(), d0);
-        let n = self.plan.len();
+        debug_assert_eq!(self.walker.depth(), d0);
         let mut d = d0;
         'outer: loop {
-            let mut src = self.plan.candidates(d, self.prefix.config());
-            if let Some((pos, v)) = src.next(self.prefix.config()) {
-                self.frames.push(src);
-                self.prefix.push(pos, v);
-                if d + 1 == n {
+            self.walker.bind();
+            if let Some((pos, v)) = self.walker.next() {
+                self.walker.push(pos, v);
+                if d + 1 == self.len {
                     return true;
                 }
                 d += 1;
                 continue 'outer;
             }
-            // No candidate at depth d: advance an earlier frame.
+            // No candidate at depth d: advance an earlier depth.
             loop {
                 if d == d0 {
                     return false;
                 }
                 d -= 1;
-                self.prefix.pop();
-                let src = self.frames.last_mut().expect("frame at depth d");
-                if let Some((pos, v)) = src.next(self.prefix.config()) {
-                    self.prefix.push(pos, v);
+                self.walker.pop();
+                if let Some((pos, v)) = self.walker.next() {
+                    self.walker.push(pos, v);
                     d += 1;
                     continue 'outer;
                 }
-                self.frames.pop();
             }
         }
     }
@@ -97,28 +93,25 @@ impl<'p> GroupCursor<'p> {
         if self.done {
             return None;
         }
-        let n = self.plan.len();
         if !self.started {
             self.started = true;
             if !self.descend(0) {
                 self.done = true;
                 return None;
             }
-            return Some(self.prefix.config());
+            return Some(self.walker.config());
         }
         loop {
-            let d = self.frames.len() - 1;
-            self.prefix.pop();
-            let src = self.frames.last_mut().expect("frame at depth d");
-            if let Some((pos, v)) = src.next(self.prefix.config()) {
-                self.prefix.push(pos, v);
-                if d + 1 == n || self.descend(d + 1) {
-                    return Some(self.prefix.config());
+            let d = self.walker.depth() - 1;
+            self.walker.pop();
+            if let Some((pos, v)) = self.walker.next() {
+                self.walker.push(pos, v);
+                if d + 1 == self.len || self.descend(d + 1) {
+                    return Some(self.walker.config());
                 }
                 continue; // deeper subtree empty: advance depth d again
             }
-            self.frames.pop();
-            if self.frames.is_empty() {
+            if d == 0 {
                 self.done = true;
                 return None;
             }
@@ -129,25 +122,25 @@ impl<'p> GroupCursor<'p> {
     /// currently points at. Valid only right after [`Self::next`] returned
     /// `Some`.
     pub(crate) fn snapshot(&self) -> Vec<u64> {
-        debug_assert_eq!(self.frames.len(), self.plan.len());
-        self.prefix.positions().to_vec()
+        debug_assert_eq!(self.walker.depth(), self.len);
+        self.walker.positions().to_vec()
     }
 
     /// Repositions the cursor at a previously snapshotted configuration and
     /// returns it. The positions are trusted — they were valid when
     /// snapshotted, and candidate sources are deterministic per prefix.
     pub(crate) fn restore(&mut self, positions: &[u64]) -> &Config {
-        self.prefix = Prefix::new(self.plan);
-        self.frames.clear();
+        while self.walker.depth() > 0 {
+            self.walker.pop();
+        }
         self.started = true;
         self.done = false;
-        for (d, &pos) in positions.iter().enumerate() {
-            let mut src = self.plan.candidates(d, self.prefix.config());
-            let v = src.seek(pos);
-            self.frames.push(src);
-            self.prefix.push(pos, v);
+        for &pos in positions {
+            self.walker.bind();
+            let v = self.walker.seek(pos);
+            self.walker.push(pos, v);
         }
-        self.prefix.config()
+        self.walker.config()
     }
 }
 

@@ -7,10 +7,11 @@
 //! - **Constraint compilation** ([`compile`]): alias-built constraints
 //!   (`divides`, `less_than`, ...) expose their structure via
 //!   [`ConstraintKind`](crate::constraint::ConstraintKind); the compiler
-//!   binds each operand expression once per generation *prefix* instead of
-//!   once per candidate, enumerates divisors instead of scanning windows
-//!   where a `divides` atom allows it, and stops scans early with monotone
-//!   propagators. Opaque predicates fall back to per-candidate evaluation —
+//!   resolves operand names to parameter slots, binds each operand
+//!   expression at most once per generation *prefix* instead of once per
+//!   candidate, draws candidates from memoised divisor lists instead of
+//!   scanning windows where `divides` atoms allow it, and stops scans early
+//!   with monotone propagators. The walk allocates nothing per prefix. Opaque predicates fall back to per-candidate evaluation —
 //!   the soundness fallback — so arbitrary constraints keep working, just
 //!   without the speedup. The walk stops at the last constrained parameter
 //!   and emits range *positions*; the unconstrained tail is never walked.

@@ -42,9 +42,11 @@ fn leading_param(shape: u8) -> Param {
 /// atom, an opaque predicate and unconstrained parameters over plain,
 /// stepped and generator intervals, float intervals and integer and
 /// `Symbol` sets — the shapes the constraint compiler and the packed store
-/// must reproduce exactly. `tail` forces each of the three tail shapes now
-/// and then: an empty tail (last parameter constrained), a two-parameter
-/// tail, and a wholly unconstrained group.
+/// must reproduce exactly — and operands at the edges of slot resolution:
+/// forward and foreign names, a zero divisor, arithmetic on floats and
+/// symbols. `tail` forces each of the three tail shapes now and then: an
+/// empty tail (last parameter constrained), a two-parameter tail, and a
+/// wholly unconstrained group.
 fn random_group() -> impl Strategy<Value = ParamGroup> {
     let names = ["Q0", "Q1", "Q2", "Q3", "Q4"];
     (
@@ -52,7 +54,7 @@ fn random_group() -> impl Strategy<Value = ParamGroup> {
         0u8..5,                              // leading-parameter shape
         prop::collection::vec(1u64..=14, 5), // range ends
         prop::collection::vec(0u8..6, 5),    // range shape per param
-        prop::collection::vec(0u8..10, 5),   // constraint selector per param
+        prop::collection::vec(0u8..14, 5),   // constraint selector per param
         0u8..6,                              // tail shape
     )
         .prop_map(move |(n, lead, ends, shapes, kinds, tail)| {
@@ -89,6 +91,20 @@ fn random_group() -> impl Strategy<Value = ParamGroup> {
                         6 => greater_than(param(prev)) & divides(cst(12u64)),
                         7 => equal(param(prev)),
                         8 => greater_than(cst(3u64)) & less_than(cst(11u64)),
+                        // Operands the compiler resolves to no slot: a
+                        // later parameter (or, last, this one), and a name
+                        // outside the group. The closures fail to look
+                        // them up; the compiled atom rejects every value.
+                        9 => divides(param(names[(i + 1).min(4)])) | equal(param(prev)),
+                        10 => divides(param("ZZ")) | less_than(cst(5u64)),
+                        // A zero divisor, and arithmetic over whatever the
+                        // previous parameter holds: floats (integral or
+                        // not), symbols (non-numeric) or integers.
+                        11 => divides(param("Q0") / (param(prev) - param(prev))).not(),
+                        12 => {
+                            divides(param(prev) * 2u64)
+                                | greater_than(param(prev) / 2u64 + cst(0.25))
+                        }
                         _ => atf_core::constraint::predicate("not b, not 2", |v, _| {
                             *v != Value::Symbol("b".into()) && *v != Value::UInt(2)
                         }),
