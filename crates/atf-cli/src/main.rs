@@ -75,8 +75,8 @@ const SERVE_USAGE: &str = "usage: atf-tune serve [--addr HOST:PORT] [--db PATH] 
                       [--io-threads N] [--handlers N]
 
 Runs the tuning service until SIGINT (ctrl-c), then drains gracefully:
-stops accepting, lets in-flight sessions checkpoint their journals, and
-exits within the drain deadline.
+stops accepting, answers the requests already received, fsyncs the
+journals of live sessions, and exits within the drain deadline.
 
   --addr HOST:PORT   Listen address (default 127.0.0.1:7117).
   --db PATH          Tuning-database file: loaded at start, updated as
@@ -102,7 +102,7 @@ exits within the drain deadline.
                      reactor an fd, not a thread).
   --drain-secs N     On shutdown, wait up to N seconds for open
                      connections to be answered and flushed before
-                     checkpointing journals and exiting (default 5).
+                     syncing journals and exiting (default 5).
   --shards N         Stripe live sessions across N locks; concurrent
                      clients on different sessions rarely contend
                      (default: one shard per available CPU).

@@ -261,7 +261,8 @@ fn load_records(path: &Path) -> std::io::Result<Option<wal::Log<DbHeader, Tuning
 /// [`TuningDatabase`] stays the index; every accepted store is
 /// [`append`](DatabaseLog::append)ed as one record line, and
 /// [`compact`](DatabaseLog::compact) folds the full state into a fresh
-/// atomically-replaced `<path>.ckpt` before restarting the log.
+/// atomically-replaced `<path>.ckpt` before restarting the log. Nothing
+/// compacts on its own: the service calls `compact` once, at shutdown.
 #[derive(Debug)]
 pub struct DatabaseLog {
     path: PathBuf,
@@ -271,20 +272,12 @@ pub struct DatabaseLog {
     /// Intact prefix of the log file as found by `open`; `None` when
     /// there is no log yet and the first append creates it.
     intact_len: Option<u64>,
-    /// Log records (loaded + appended) not yet folded into the
-    /// checkpoint; drives the compaction threshold.
-    appends_since_compact: usize,
-    compact_every: usize,
     total_appends: u64,
     total_compactions: u64,
     /// Test/chaos hook: sleep this long inside every append and
     /// compaction, simulating slow storage.
     io_delay: Option<Duration>,
 }
-
-/// Default compaction threshold: fold the log into the checkpoint after
-/// this many appended records.
-pub const DB_COMPACT_EVERY: usize = 64;
 
 /// What one [`DatabaseLog::compact`] did, for metrics and tracing.
 #[derive(Clone, Copy, Debug)]
@@ -306,7 +299,6 @@ impl DatabaseLog {
         let ckpt = load_records(&checkpoint_path(&path))?;
         let log = load_records(&path)?;
         let intact_len = log.as_ref().map(|log| log.intact_len);
-        let pending = log.as_ref().map_or(0, |log| log.entries.len());
         for record in [ckpt, log].into_iter().flatten().flat_map(|l| l.entries) {
             db.merge_record(record);
         }
@@ -316,20 +308,11 @@ impl DatabaseLog {
                 path,
                 out: None,
                 intact_len,
-                appends_since_compact: pending,
-                compact_every: DB_COMPACT_EVERY,
                 total_appends: 0,
                 total_compactions: 0,
                 io_delay: None,
             },
         ))
-    }
-
-    /// Overrides the compaction threshold (builder-style; mostly for
-    /// tests and benchmarks).
-    pub fn with_compact_every(mut self, every: usize) -> Self {
-        self.compact_every = every.max(1);
-        self
     }
 
     /// Test/chaos hook: every subsequent append and compaction sleeps
@@ -352,15 +335,8 @@ impl DatabaseLog {
             }),
         };
         out.append(record)?;
-        self.appends_since_compact += 1;
         self.total_appends += 1;
         Ok(())
-    }
-
-    /// Whether enough log entries accumulated that the next
-    /// [`compact`](Self::compact) should run.
-    pub fn should_compact(&self) -> bool {
-        self.appends_since_compact >= self.compact_every
     }
 
     /// Folds the full database state into a fresh checkpoint and restarts
@@ -390,7 +366,6 @@ impl DatabaseLog {
         self.out = None;
         self.intact_len = None;
         self.out = Some(wal::Writer::create(&self.path, &header, 1)?);
-        self.appends_since_compact = 0;
         self.total_compactions += 1;
         Ok(CompactionReport {
             records: db.len() as u64,
@@ -519,17 +494,14 @@ mod tests {
     fn log_compaction_restarts_the_log_and_preserves_records() {
         let path = temp_db_path("compact");
         cleanup(&path);
-        let (mut db, log) = DatabaseLog::open(&path).unwrap();
-        let mut log = log.with_compact_every(4);
+        let (mut db, mut log) = DatabaseLog::open(&path).unwrap();
         for i in 0..6 {
             let kernel = format!("k{i}");
             db.store(&kernel, "d", "w", &sample_config(), i as f64, 1, 64);
             log.append(&db.record(&kernel, "d", "w").unwrap()).unwrap();
         }
-        assert!(log.should_compact());
         let report = log.compact(&db).unwrap();
         assert_eq!(report.records, 6);
-        assert!(!log.should_compact());
         assert_eq!(log.compactions(), 1);
         // Live log restarted as just its header, checkpoint holds everything.
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);

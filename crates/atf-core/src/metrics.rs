@@ -197,7 +197,7 @@ pub struct MetricsRegistry {
     pub shed_requests: Counter,
     /// Connections rejected at the hard cap (every slot taken).
     pub rejected_connections: Counter,
-    /// Sessions checkpointed by a graceful drain.
+    /// Session journals synced by a graceful drain.
     pub drained_sessions: Counter,
     /// Live sessions across all tenants.
     pub sessions_active: Gauge,
@@ -517,7 +517,7 @@ pub struct AdmissionSnapshot {
     pub shed_requests: u64,
     /// Connections rejected at the hard cap.
     pub rejected_connections: u64,
-    /// Sessions checkpointed by a graceful drain.
+    /// Session journals synced by a graceful drain.
     pub drained_sessions: u64,
     /// Live sessions at snapshot time.
     pub sessions_active: u64,

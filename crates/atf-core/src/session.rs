@@ -708,18 +708,17 @@ impl<C: CostValue> TuningSession<C> {
         self.journal_degraded.as_deref()
     }
 
-    /// Forces a journal checkpoint right now: the live tail is fsynced and
-    /// compacted into the atomically-replaced checkpoint file, leaving the
-    /// smallest resumable on-disk state. Used by the service's graceful
-    /// drain so every in-flight session lands as a compact, durable
-    /// journal before the process exits. Returns `true` when a journal was
-    /// attached and checkpointed, `false` when the session has none.
-    pub fn checkpoint_journal(&mut self) -> Result<bool, TuningError> {
+    /// Fsyncs the journal right now, so every entry written so far is
+    /// durable. Used by the service's graceful drain so every in-flight
+    /// session lands as a resumable journal before the process exits.
+    /// Returns `true` when a journal was attached and synced, `false` when
+    /// the session has none.
+    pub fn sync_journal(&mut self) -> Result<bool, TuningError> {
         match &mut self.journal {
             Some(journal) => {
                 journal
                     .writer
-                    .compact()
+                    .sync()
                     .map_err(|e| TuningError::Journal(e.to_string()))?;
                 Ok(true)
             }

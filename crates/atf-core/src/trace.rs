@@ -295,7 +295,7 @@ impl TraceEvent {
         }
     }
 
-    /// A graceful drain finished: `size` sessions checkpointed in `micros`,
+    /// A graceful drain finished: `size` live sessions in `micros`,
     /// `ok` whether every connection exited within the deadline.
     pub fn drain(sessions: u64, micros: u64, within_deadline: bool) -> Self {
         TraceEvent {

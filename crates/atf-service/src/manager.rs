@@ -2,10 +2,14 @@
 //! service-level [`TuningDatabase`] cache. Shared by every connection
 //! thread (and by the in-process loopback client).
 //!
-//! Sessions live in N lock-striped shards (session-id hash affinity), and
-//! the database persists as an append-only record log with periodic
-//! compaction — see [`atf_core::db::DatabaseLog`]. Tenant accounting stays
-//! behind one dedicated global lock so admission quotas hold exactly.
+//! Sessions live in N lock-striped shards (session-id hash affinity).
+//! Nothing on the request path rewrites history: a session journal is one
+//! file that grows by one line per report, fsynced in batches of
+//! [`JournalWriter::SYNC_EVERY`](atf_core::journal::JournalWriter::SYNC_EVERY),
+//! and the database is an append-only record log, fsynced per finished
+//! record and compacted only by [`SessionManager::persist`] at shutdown —
+//! see [`atf_core::db::DatabaseLog`]. Tenant accounting stays behind one
+//! dedicated global lock so admission quotas hold exactly.
 
 use crate::proto::{codes, config_to_wire, Request, Response};
 use atf_core::cost::{CostError, FailureKind};
@@ -29,12 +33,6 @@ use std::time::{Duration, Instant};
 /// retry loop the practical distance between a request and its retries is a
 /// handful, so 64 leaves a wide margin.
 pub const DEDUP_WINDOW: usize = 64;
-
-/// Checkpoint interval for service-side run journals: after this many
-/// journal appends the journal is compacted into an atomically-replaced
-/// checkpoint file and the live tail restarts as just a header. This bounds
-/// the tail file, not replay: a resume replays checkpoint + tail.
-const SERVICE_CHECKPOINT_EVERY: usize = 64;
 
 /// Tenant that `open`s without a `tenant` field are accounted under.
 pub const DEFAULT_TENANT: &str = "default";
@@ -207,7 +205,7 @@ fn journal_file_name(kernel: &str, device: &str, workload: &str) -> String {
 /// cap during concurrent opens.
 pub struct SessionManager {
     /// Live sessions, striped by session-id hash. Sweeps (idle expiry,
-    /// stats, drain checkpointing) iterate shard by shard, never holding
+    /// stats, drain syncing) iterate shard by shard, never holding
     /// more than one shard lock at a time — no stop-the-world phase.
     shards: Vec<Mutex<HashMap<String, ManagedSession>>>,
     db: Mutex<TuningDatabase>,
@@ -549,7 +547,6 @@ impl SessionManager {
         if let Some(w) = request.max_pending {
             session = session.max_pending(w as usize);
         }
-        session = session.journal_checkpoint_every(SERVICE_CHECKPOINT_EVERY);
         let device = request
             .device
             .clone()
@@ -866,8 +863,8 @@ impl SessionManager {
     /// Merges a finished result into the database (monotone: an existing
     /// cheaper record wins) and, with a path configured, appends the
     /// accepted record to the on-disk log — O(record) bytes per store, not
-    /// a whole-file rewrite. The log compacts into a checkpoint every
-    /// [`atf_core::db::DB_COMPACT_EVERY`] appends.
+    /// a whole-file rewrite, and nothing more: the log compacts only at
+    /// shutdown ([`persist`](Self::persist)).
     fn merge_result(
         &self,
         kernel: &str,
@@ -882,7 +879,7 @@ impl SessionManager {
         } else {
             None
         };
-        let (stored, record) = {
+        let record = {
             let mut db = self.db.lock();
             let stored = db.store(
                 kernel,
@@ -893,40 +890,17 @@ impl SessionManager {
                 result.evaluations,
                 result.space_size,
             );
-            let record = if stored && log_guard.is_some() {
+            if stored && log_guard.is_some() {
                 db.record(kernel, device, workload)
             } else {
                 None
-            };
-            (stored, record)
+            }
         };
-        let Some(log) = log_guard.as_mut().and_then(|g| g.as_mut()) else {
-            return;
-        };
-        // A full log compacts before the append lands in the fresh log.
-        if log.should_compact() {
-            self.compact_log(log);
-        }
-        if let (true, Some(record)) = (stored, record) {
+        if let (Some(log), Some(record)) = (log_guard.as_mut().and_then(|g| g.as_mut()), record) {
             match log.append(&record) {
                 Ok(()) => self.metrics.db_appends.inc(),
                 Err(e) => eprintln!("atf-service: could not append to database log: {e}"),
             }
-        }
-    }
-
-    /// Compacts the record log into a fresh checkpoint. The caller holds
-    /// the log lock; the db lock is taken only long enough to clone the
-    /// index, so readers and stores never wait behind compaction I/O.
-    fn compact_log(&self, log: &mut DatabaseLog) {
-        let snapshot = self.db.lock().clone();
-        match log.compact(&snapshot) {
-            Ok(report) => {
-                self.metrics.db_compactions.inc();
-                self.trace
-                    .emit(&TraceEvent::db_compact(report.records, report.micros));
-            }
-            Err(e) => eprintln!("atf-service: could not compact database log: {e}"),
         }
     }
 
@@ -1113,34 +1087,32 @@ impl SessionManager {
         }
     }
 
-    /// Graceful-drain hook: checkpoints every live session's run journal
-    /// (fsync + compaction into the atomically-replaced checkpoint file)
-    /// so each lands as the smallest resumable on-disk artifact, without
-    /// finishing the sessions — a restarted service or client resumes
-    /// them with `open{resume:true}`. Returns (live sessions, journals
-    /// checkpointed); sessions without a journal are counted but skipped,
-    /// and a checkpoint failure is logged, not fatal — the write-ahead
-    /// tail is still on disk and resumable.
-    pub fn checkpoint_sessions(&self) -> (usize, usize) {
+    /// Graceful-drain hook: fsyncs every live session's run journal so
+    /// each lands whole on disk, without finishing the sessions — a
+    /// restarted service or client resumes them with `open{resume:true}`.
+    /// Returns (live sessions, journals synced); sessions without a
+    /// journal are counted but skipped, and a sync failure is logged, not
+    /// fatal — the entries already fsynced are still resumable.
+    pub fn sync_sessions(&self) -> (usize, usize) {
         let mut total = 0usize;
-        let mut checkpointed = 0usize;
+        let mut synced = 0usize;
         // One shard at a time: sessions on the other shards keep serving
-        // while this shard's journals are checkpointed.
+        // while this shard's journals are synced.
         for shard in &self.shards {
             let mut sessions = shard.lock();
             total += sessions.len();
             for (id, managed) in sessions.iter_mut() {
-                match managed.session.checkpoint_journal() {
-                    Ok(true) => checkpointed += 1,
+                match managed.session.sync_journal() {
+                    Ok(true) => synced += 1,
                     Ok(false) => {}
                     Err(e) => {
-                        eprintln!("atf-service: drain: could not checkpoint journal of `{id}`: {e}")
+                        eprintln!("atf-service: drain: could not sync journal of `{id}`: {e}")
                     }
                 }
             }
         }
-        self.metrics.drained_sessions.add(checkpointed as u64);
-        (total, checkpointed)
+        self.metrics.drained_sessions.add(synced as u64);
+        (total, synced)
     }
 
     /// The manager's trace sink (the server emits its `drain` event here

@@ -41,7 +41,7 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Graceful-drain deadline: after shutdown is signaled, how long to
     /// wait for open connections to be answered and flushed before
-    /// force-closing, checkpointing journals, and exiting anyway.
+    /// force-closing, syncing journals, and exiting anyway.
     pub drain_timeout: Duration,
     /// Event-loop threads owning the listener and the connection sockets.
     /// `None` picks a small automatic count from available parallelism
@@ -269,8 +269,8 @@ impl Server {
     /// thread, then drains gracefully: the reactor stops accepting and
     /// sweeps every open connection for requests the kernel has already
     /// received — each one is answered and flushed before its connection
-    /// closes — `run` waits up to the drain deadline, checkpoints every
-    /// live session's journal to a resumable artifact, and persists the
+    /// closes — `run` waits up to the drain deadline, fsyncs every live
+    /// session's journal so it resumes, and persists (compacts) the
     /// database. A failed `accept` ends serving the same way and is
     /// returned after the drain.
     pub fn run(self) -> std::io::Result<()> {
@@ -300,17 +300,17 @@ impl Server {
         }
         let within_deadline = reactor.active() == 0;
         reactor.stop_and_join()?;
-        // Every live session's journal lands as a compact, resumable
-        // checkpoint; the sessions themselves stay unfinished so a
-        // restart resumes them with `open{resume:true}`.
-        let (live, checkpointed) = self.manager.checkpoint_sessions();
+        // Every live session's journal is fsynced; the sessions themselves
+        // stay unfinished so a restart resumes them with
+        // `open{resume:true}`.
+        let (live, synced) = self.manager.sync_sessions();
         let micros = u64::try_from(drain_started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.manager
             .trace_sink()
             .emit(&TraceEvent::drain(live as u64, micros, within_deadline));
         if live > 0 {
             eprintln!(
-                "atf-service: drained {live} session(s), {checkpointed} journal(s) checkpointed, \
+                "atf-service: drained {live} session(s), {synced} journal(s) synced, \
                  in {:.1} ms{}",
                 micros as f64 / 1000.0,
                 if within_deadline {

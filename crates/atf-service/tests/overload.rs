@@ -457,12 +457,12 @@ fn graceful_drain_leaves_resumable_journals() {
     );
     assert!(
         manager.metrics().snapshot().admission.drained_sessions >= 1,
-        "the live session's journal must be checkpointed on drain"
+        "the live session's journal must be synced on drain"
     );
     let journal_files = std::fs::read_dir(&journal_dir).unwrap().count();
     assert!(journal_files >= 1, "a journal file must survive the drain");
 
-    // Restart: the same key resumes from the checkpointed journal and
+    // Restart: the same key resumes from the synced journal and
     // completes bit-identical to the uninterrupted run.
     let restarted = Arc::new(SessionManager::new(config).unwrap());
     let mut resume = open_request("storm-toy", None, 16);

@@ -3,12 +3,14 @@
 //! journal), a kill at any point of the compaction sequence must still
 //! resume correctly, pre-checksum v1–v3 journals must be refused without
 //! being touched, and a full disk must degrade the session to in-memory
-//! tuning instead of killing it.
+//! tuning instead of killing it. The service never compacts on its request
+//! path, yet still resumes a journal an older, compacting build left.
 
 use atf_core::abort;
 use atf_core::journal::{checkpoint_path, JournalHeader, LoadedJournal};
 use atf_core::param::{tp, ParamGroup};
 use atf_core::prelude::*;
+use atf_service::{ManagerConfig, Request, SessionManager};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -373,4 +375,209 @@ fn resume_after_torn_tail_keeps_post_resume_entries_loadable() {
     let finished = again.finish().unwrap();
     assert_eq!(finished.evaluations, 50);
     cleanup(&path);
+}
+
+// ---- The service's request path is append-only ----
+//
+// A service session journal is one file that grows by one line per
+// report; the database log is compacted only by `persist` at shutdown.
+// A journal directory a checkpointing build left behind still resumes.
+
+const SERVICE_EVALUATIONS: u64 = 300;
+
+/// The wire spec of the service sessions below: annealing over a
+/// 32×32 space.
+fn service_params() -> Vec<atf_core::spec::ParameterSpec> {
+    ["X", "Y"]
+        .into_iter()
+        .map(|name| atf_core::spec::ParameterSpec {
+            name: name.into(),
+            interval: Some(atf_core::spec::IntervalSpec {
+                begin: 1,
+                end: 32,
+                step: 1,
+            }),
+            set: None,
+            constraint: None,
+        })
+        .collect()
+}
+
+/// Opens (or resumes) `kernel`, stopped after `evaluations` reports;
+/// returns the session id and the `resumed` count.
+fn service_open(
+    manager: &SessionManager,
+    kernel: &str,
+    evaluations: u64,
+    resume: bool,
+) -> (String, Option<u64>) {
+    let mut req = Request::new("open");
+    req.kernel = Some(kernel.to_string());
+    req.parameters = Some(service_params());
+    req.search = Some(atf_core::spec::SearchSpec {
+        technique: "annealing".into(),
+        seed: 7,
+    });
+    req.abort = Some(atf_core::spec::AbortSpec {
+        evaluations: Some(evaluations),
+        ..Default::default()
+    });
+    req.resume = Some(resume);
+    let opened = manager.handle(&req);
+    assert!(opened.ok, "{opened:?}");
+    (opened.session.unwrap(), opened.resumed)
+}
+
+fn service_cost(x: u64, y: u64) -> f64 {
+    (x as f64 - 21.0).abs() + (y as f64 - 9.0).abs() * 1.5
+}
+
+fn service_manager(dir: &Path) -> SessionManager {
+    SessionManager::new(ManagerConfig {
+        journal_dir: Some(dir.join("journals")),
+        db_path: Some(dir.join("db.ndjson")),
+        ..ManagerConfig::default()
+    })
+    .unwrap()
+}
+
+/// Sends up to `reports` next + report steps through `handle`, stopping
+/// early when the session is done.
+fn service_steps(manager: &SessionManager, id: &str, reports: usize) {
+    for _ in 0..reports {
+        let next = manager.handle(&Request::new("next").with_session(id));
+        assert!(next.ok, "{next:?}");
+        if next.done == Some(true) {
+            return;
+        }
+        let config = next.config.unwrap();
+        let mut report = Request::new("report").with_session(id);
+        report.cost = Some(service_cost(config["X"], config["Y"]));
+        report.valid = Some(true);
+        let reported = manager.handle(&report);
+        assert!(reported.ok, "{reported:?}");
+    }
+}
+
+type ServiceOutcome = (
+    Option<std::collections::BTreeMap<String, u64>>,
+    Option<f64>,
+    Option<u64>,
+);
+
+/// Drives `id` to its end and finishes it.
+fn service_finish(manager: &SessionManager, id: &str) -> ServiceOutcome {
+    service_steps(manager, id, usize::MAX);
+    let finished = manager.handle(&Request::new("finish").with_session(id));
+    assert!(finished.ok, "{finished:?}");
+    (
+        finished.best_config,
+        finished.best_cost,
+        finished.evaluations,
+    )
+}
+
+/// The same session run unjournaled, start to finish.
+fn service_reference() -> ServiceOutcome {
+    let manager = SessionManager::in_memory();
+    let (id, _) = service_open(&manager, "svc", SERVICE_EVALUATIONS, false);
+    service_finish(&manager, &id)
+}
+
+fn service_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("atf-jh-svc-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// 200 reports leave one journal file of 201 lines (header + one per
+/// report) and no checkpoint or temporary file; a restarted manager
+/// replays all 200 and finishes bit-identical to an unjournaled run.
+#[test]
+fn service_journal_is_one_append_only_file_and_resumes_bit_identically() {
+    let dir = service_dir("append-only");
+    let manager = service_manager(&dir);
+    let (id, _) = service_open(&manager, "svc", SERVICE_EVALUATIONS, false);
+    service_steps(&manager, &id, 200);
+    let files: Vec<PathBuf> = std::fs::read_dir(dir.join("journals"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "one file per session, found {files:?}");
+    assert_eq!(files[0].extension().unwrap(), "ndjson", "{files:?}");
+    let text = std::fs::read_to_string(&files[0]).unwrap();
+    assert_eq!(text.lines().count(), 201, "header + one line per report");
+    drop(manager); // crash: the session is never finished
+
+    let restarted = service_manager(&dir);
+    let (id, resumed) = service_open(&restarted, "svc", SERVICE_EVALUATIONS, true);
+    assert_eq!(resumed, Some(200));
+    assert_eq!(service_finish(&restarted, &id), service_reference());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A journal directory left by a build that compacted service journals
+/// every 64 reports (checkpoint + header-only-restarted tail) resumes,
+/// continues appending, and resumes again to the unjournaled result.
+#[test]
+fn service_resumes_a_journal_compacted_by_a_checkpointing_build() {
+    let dir = service_dir("upgrade");
+    let journals = dir.join("journals");
+    std::fs::create_dir_all(&journals).unwrap();
+    let path = journals.join("svc-local-.ndjson");
+
+    // The checkpointing build's session: the space, technique and abort
+    // the service builds for `service_open`, compacting every 64.
+    let (space, _) =
+        atf_core::spacegen::space_from_spec(&service_params(), &atf_core::trace::NullSink).unwrap();
+    let mut old = TuningSession::<f64>::new(space, Box::new(SimulatedAnnealing::with_seed(7)))
+        .unwrap()
+        .abort_condition(abort::evaluations(SERVICE_EVALUATIONS))
+        .journal_checkpoint_every(64)
+        .journal_to(&path)
+        .unwrap();
+    for _ in 0..150 {
+        let config = old.next_config().unwrap();
+        let cost = service_cost(config.get_u64("X"), config.get_u64("Y"));
+        old.report(Ok(cost)).unwrap();
+    }
+    drop(old);
+    assert!(checkpoint_path(&path).exists(), "the old build compacted");
+
+    let manager = service_manager(&dir);
+    let (id, resumed) = service_open(&manager, "svc", SERVICE_EVALUATIONS, true);
+    assert_eq!(resumed, Some(150));
+    service_steps(&manager, &id, 50);
+    drop(manager);
+
+    let restarted = service_manager(&dir);
+    let (id, resumed) = service_open(&restarted, "svc", SERVICE_EVALUATIONS, true);
+    assert_eq!(resumed, Some(200));
+    assert_eq!(service_finish(&restarted, &id), service_reference());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Finished records are appended to the database log and never compacted
+/// on the request path: 65 finishes leave no `<db>.ckpt`; `persist` writes
+/// one, and a reopen holds the same 65 records.
+#[test]
+fn database_log_compacts_only_at_persist() {
+    let dir = service_dir("db");
+    let manager = service_manager(&dir);
+    for i in 0..65 {
+        let (id, _) = service_open(&manager, &format!("k{i}"), 2, false);
+        service_finish(&manager, &id);
+    }
+    let db_path = dir.join("db.ndjson");
+    assert!(
+        !checkpoint_path(&db_path).exists(),
+        "no compaction on the request path"
+    );
+    let appended = TuningDatabase::load(&db_path).unwrap();
+    assert_eq!(appended.len(), 65);
+
+    manager.persist().unwrap();
+    assert!(checkpoint_path(&db_path).exists(), "persist compacts");
+    assert_eq!(TuningDatabase::load(&db_path).unwrap(), appended);
+    std::fs::remove_dir_all(&dir).ok();
 }
