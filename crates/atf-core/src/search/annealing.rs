@@ -18,18 +18,18 @@ use std::collections::VecDeque;
 /// The paper's default annealing temperature (from CLTune).
 pub const DEFAULT_TEMPERATURE: f64 = 4.0;
 
+/// Restart from a fresh random point after this many consecutive steps
+/// without improving the best cost.
+const RESTART_AFTER: u64 = 500;
+
 /// Simulated-annealing search.
 #[derive(Clone, Debug)]
 pub struct SimulatedAnnealing {
     rng: ChaCha8Rng,
     dims: Option<SpaceDims>,
-    /// Initial temperature `T`.
+    /// Temperature `T`, constant over the run (the paper's variant has no
+    /// cooling).
     t0: f64,
-    /// Multiplicative cooling per accepted-or-rejected step; 1.0 = the
-    /// paper's constant-temperature variant.
-    cooling: f64,
-    /// Current temperature.
-    temperature: f64,
     /// Current configuration and its cost.
     current: Option<(Point, f64)>,
     /// Proposals awaiting their cost reports, in proposal order. Under
@@ -41,52 +41,27 @@ pub struct SimulatedAnnealing {
     best_seen: f64,
     /// Steps since the last improvement of `best_seen` (drives restarts).
     stagnation: u64,
-    /// Random-restart threshold: restart from a fresh random point after
-    /// this many non-improving steps (0 disables).
-    restart_after: u64,
 }
 
 impl SimulatedAnnealing {
     /// Annealing with the paper's settings (`T = 4`, no cooling) and a fixed
-    /// seed.
+    /// seed; the walk restarts after 500 non-improving steps.
     pub fn with_seed(seed: u64) -> Self {
         SimulatedAnnealing {
             rng: ChaCha8Rng::seed_from_u64(seed),
             dims: None,
             t0: DEFAULT_TEMPERATURE,
-            cooling: 1.0,
-            temperature: DEFAULT_TEMPERATURE,
             current: None,
             pending: VecDeque::new(),
             best_seen: f64::INFINITY,
             stagnation: 0,
-            restart_after: 500,
         }
     }
 
-    /// Sets the initial temperature (default 4, per the paper).
+    /// Sets the temperature (default 4, per the paper).
     pub fn temperature(mut self, t: f64) -> Self {
         assert!(t > 0.0, "temperature must be positive");
         self.t0 = t;
-        self.temperature = t;
-        self
-    }
-
-    /// Sets a multiplicative cooling factor applied after every step
-    /// (e.g. 0.995). The paper's variant keeps `T` constant (factor 1).
-    pub fn cooling(mut self, factor: f64) -> Self {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "cooling factor must be in (0, 1]"
-        );
-        self.cooling = factor;
-        self
-    }
-
-    /// Random-restart after `n` consecutive steps without improving the best
-    /// cost (0 disables restarts).
-    pub fn restart_after(mut self, n: u64) -> Self {
-        self.restart_after = n;
         self
     }
 
@@ -156,7 +131,6 @@ impl SearchTechnique for SimulatedAnnealing {
         self.dims = Some(dims);
         self.current = None;
         self.pending.clear();
-        self.temperature = self.t0;
         self.best_seen = f64::INFINITY;
         self.stagnation = 0;
     }
@@ -192,8 +166,7 @@ impl SearchTechnique for SimulatedAnnealing {
                 let accept = if cost >= PENALTY_COST {
                     false // never walk onto failed configurations
                 } else {
-                    let pr =
-                        Self::acceptance_probability(*t, cost, self.temperature, self.best_seen);
+                    let pr = Self::acceptance_probability(*t, cost, self.t0, self.best_seen);
                     pr >= 1.0 || self.rng.gen_bool(pr)
                 };
                 if accept {
@@ -201,10 +174,8 @@ impl SearchTechnique for SimulatedAnnealing {
                 }
             }
         }
-        self.temperature = (self.temperature * self.cooling).max(1e-6);
-        if self.restart_after > 0 && self.stagnation >= self.restart_after {
+        if self.stagnation >= RESTART_AFTER {
             self.current = None; // restart from a fresh random point
-            self.temperature = self.t0;
             self.stagnation = 0;
         }
     }
@@ -299,14 +270,23 @@ mod tests {
 
     #[test]
     fn restart_resets_current() {
-        let mut t = SimulatedAnnealing::with_seed(2).restart_after(3);
+        let mut t = SimulatedAnnealing::with_seed(2);
         t.initialize(SpaceDims::new(vec![100]));
-        // Feed constant costs → stagnation → restart path must not panic and
-        // must keep proposing points.
-        for _ in 0..20 {
+        let _ = t.get_next_point().unwrap();
+        t.report_cost(0.0); // best cost 0 — nothing can improve on it
+        for _ in 1..RESTART_AFTER {
             let _ = t.get_next_point().unwrap();
             t.report_cost(1.0);
         }
+        assert!(
+            t.current.is_some(),
+            "restarted before {RESTART_AFTER} steps"
+        );
+        // The RESTART_AFTER-th non-improving step restarts the walk from a
+        // fresh random point.
+        let _ = t.get_next_point().unwrap();
+        t.report_cost(1.0);
+        assert!(t.current.is_none());
         assert!(t.get_next_point().is_some());
     }
 
@@ -324,16 +304,5 @@ mod tests {
             pts
         };
         assert_eq!(run(9), run(9));
-    }
-
-    #[test]
-    fn cooling_reduces_temperature() {
-        let mut t = SimulatedAnnealing::with_seed(1).cooling(0.5);
-        t.initialize(SpaceDims::new(vec![10]));
-        let _ = t.get_next_point();
-        t.report_cost(1.0);
-        let _ = t.get_next_point();
-        t.report_cost(2.0);
-        assert!(t.temperature < DEFAULT_TEMPERATURE);
     }
 }

@@ -7,21 +7,21 @@
 //! (Ansel et al., PACT 2014). This module reimplements that scheme: each arm
 //! scores `AUC_w(arm) + C * sqrt(2 ln(uses_total) / uses(arm))`, where
 //! `AUC_w` weights recent improvements linearly by recency within a sliding
-//! window. The paper uses this engine as ATF's third search technique over
-//! the *valid* space index (Section IV-C), and it also powers the OpenTuner
-//! baseline over the unconstrained space.
+//! window of `w = 50` outcomes, and `C = 0.3`. The paper uses this engine as
+//! ATF's third search technique over the *valid* space index (Section IV-C),
+//! and it also powers the OpenTuner baseline over the unconstrained space.
 
 use super::{
-    DifferentialEvolution, GeneticAlgorithm, GreedyMutation, NelderMead, ParticleSwarm,
-    PatternSearch, Point, RandomSearch, SearchTechnique, SpaceDims, Torczon,
+    DifferentialEvolution, GreedyMutation, NelderMead, PatternSearch, Point, RandomSearch,
+    SearchTechnique, SpaceDims, Torczon,
 };
 use std::collections::VecDeque;
 
-/// Default exploration constant of the UCB-style bonus.
-pub const DEFAULT_EXPLORATION: f64 = 0.3;
+/// Exploration constant `C` of the UCB-style bonus.
+const EXPLORATION: f64 = 0.3;
 
-/// Default sliding-window length for AUC credit.
-pub const DEFAULT_WINDOW: usize = 50;
+/// Sliding-window length `w` for AUC credit.
+const WINDOW: usize = 50;
 
 /// AUC-credit bandit state for one arm.
 #[derive(Clone, Debug, Default)]
@@ -58,41 +58,30 @@ impl ArmStats {
     }
 }
 
-/// The multi-armed-bandit scheduler (exposed separately for testing and for
-/// composing custom ensembles).
+/// The multi-armed-bandit scheduler behind [`Ensemble`].
 #[derive(Clone, Debug)]
-pub struct AucBandit {
+struct AucBandit {
     arms: Vec<ArmStats>,
-    window: usize,
-    exploration: f64,
     total_uses: u64,
 }
 
 impl AucBandit {
     /// A bandit over `n_arms` arms.
-    pub fn new(n_arms: usize, window: usize, exploration: f64) -> Self {
+    fn new(n_arms: usize) -> Self {
         assert!(n_arms > 0, "bandit needs at least one arm");
         AucBandit {
             arms: vec![ArmStats::default(); n_arms],
-            window,
-            exploration,
             total_uses: 0,
         }
     }
 
-    /// Selects the arm with the best AUC + exploration score; unused arms
-    /// are always tried first.
-    pub fn select(&self) -> usize {
-        let all: Vec<usize> = (0..self.arms.len()).collect();
-        self.select_among(&all).expect("bandit has ≥ 1 arm")
-    }
-
-    /// Selects the best-scoring arm among `allowed` only (`None` if the
-    /// slice is empty). Used by the ensemble under parallel evaluation,
-    /// where arms busy with a full batch are temporarily ineligible —
-    /// selection must skip them *without* recording anything, so bandit
-    /// statistics stay untouched by scheduling constraints.
-    pub fn select_among(&self, allowed: &[usize]) -> Option<usize> {
+    /// Selects the best-scoring arm (AUC + exploration bonus) among
+    /// `allowed` only (`None` if the slice is empty); unused arms are always
+    /// tried first. Under parallel evaluation, arms busy with a full batch
+    /// are temporarily ineligible — selection skips them *without*
+    /// recording anything, so bandit statistics stay untouched by
+    /// scheduling constraints.
+    fn select_among(&self, allowed: &[usize]) -> Option<usize> {
         // Any arm never used yet gets priority (infinite exploration bonus).
         if let Some(&i) = allowed.iter().find(|&&i| self.arms[i].uses == 0) {
             return Some(i);
@@ -102,7 +91,7 @@ impl AucBandit {
         let mut best_score = f64::NEG_INFINITY;
         for &i in allowed {
             let a = &self.arms[i];
-            let score = a.auc() + self.exploration * (2.0 * ln_total / a.uses as f64).sqrt();
+            let score = a.auc() + EXPLORATION * (2.0 * ln_total / a.uses as f64).sqrt();
             if score > best_score {
                 best_score = score;
                 best = Some(i);
@@ -112,19 +101,9 @@ impl AucBandit {
     }
 
     /// Records the outcome of an arm's proposal.
-    pub fn record(&mut self, arm: usize, improved: bool) {
-        self.arms[arm].record(improved, self.window);
+    fn record(&mut self, arm: usize, improved: bool) {
+        self.arms[arm].record(improved, WINDOW);
         self.total_uses += 1;
-    }
-
-    /// Current AUC score of an arm (for diagnostics).
-    pub fn auc(&self, arm: usize) -> f64 {
-        self.arms[arm].auc()
-    }
-
-    /// Number of times an arm was used.
-    pub fn uses(&self, arm: usize) -> u64 {
-        self.arms[arm].uses
     }
 }
 
@@ -159,50 +138,22 @@ impl Ensemble {
         ])
     }
 
-    /// A larger ensemble additionally containing the particle-swarm and
-    /// genetic-algorithm techniques.
-    pub fn extended(seed: u64) -> Self {
-        Self::new(vec![
-            Box::new(DifferentialEvolution::with_seed(seed ^ 0x6)),
-            Box::new(GreedyMutation::with_seed(seed ^ 0x4)),
-            Box::new(NelderMead::with_seed(seed ^ 0x1)),
-            Box::new(Torczon::with_seed(seed ^ 0x2)),
-            Box::new(PatternSearch::with_seed(seed ^ 0x3)),
-            Box::new(ParticleSwarm::with_seed(seed ^ 0x7)),
-            Box::new(GeneticAlgorithm::with_seed(seed ^ 0x8)),
-            Box::new(RandomSearch::with_seed(seed ^ 0x5)),
-        ])
-    }
-
-    /// An ensemble over custom sub-techniques.
-    pub fn new(techniques: Vec<Box<dyn SearchTechnique>>) -> Self {
+    /// An ensemble over `techniques`, one bandit arm each.
+    fn new(techniques: Vec<Box<dyn SearchTechnique>>) -> Self {
         assert!(!techniques.is_empty(), "ensemble needs ≥ 1 technique");
         let n = techniques.len();
         Ensemble {
             techniques,
-            bandit: AucBandit::new(n, DEFAULT_WINDOW, DEFAULT_EXPLORATION),
+            bandit: AucBandit::new(n),
             queue: VecDeque::new(),
             arm_outstanding: vec![0; n],
             best: f64::INFINITY,
         }
     }
 
-    /// Overrides the bandit parameters.
-    pub fn bandit_params(mut self, window: usize, exploration: f64) -> Self {
-        self.bandit = AucBandit::new(self.techniques.len(), window, exploration);
-        self
-    }
-
-    /// Names of the sub-techniques, aligned with arm indices.
-    pub fn technique_names(&self) -> Vec<&'static str> {
-        self.techniques.iter().map(|t| t.name()).collect()
-    }
-
     /// Per-arm use counts (diagnostics).
     pub fn arm_uses(&self) -> Vec<u64> {
-        (0..self.techniques.len())
-            .map(|i| self.bandit.uses(i))
-            .collect()
+        self.bandit.arms.iter().map(|a| a.uses).collect()
     }
 }
 
@@ -224,9 +175,9 @@ impl SearchTechnique for Ensemble {
 
     fn get_next_point(&mut self) -> Option<Point> {
         // Try eligible arms in bandit preference order until one proposes a
-        // point (sub-techniques of this crate never exhaust, but custom
-        // ones may). Arms busy with a full batch are skipped without
-        // touching their bandit statistics.
+        // point (the six default arms never exhaust, but an exhaustive arm
+        // would). Arms busy with a full batch are skipped without touching
+        // their bandit statistics.
         for _ in 0..self.techniques.len() {
             let eligible: Vec<usize> = (0..self.techniques.len())
                 .filter(|&i| self.techniques[i].can_propose(self.arm_outstanding[i]))
@@ -310,24 +261,25 @@ mod tests {
 
     #[test]
     fn bandit_prefers_improving_arm() {
-        let mut b = AucBandit::new(3, 20, 0.1);
+        let mut b = AucBandit::new(3);
         // Arm 1 improves often; others never.
         for _ in 0..30 {
             b.record(0, false);
             b.record(1, true);
             b.record(2, false);
         }
-        assert_eq!(b.select(), 1);
+        assert_eq!(b.select_among(&[0, 1, 2]), Some(1));
     }
 
     #[test]
     fn bandit_explores_unused_arms_first() {
-        let mut b = AucBandit::new(3, 10, 0.3);
-        assert_eq!(b.select(), 0);
+        let mut b = AucBandit::new(3);
+        let all = [0, 1, 2];
+        assert_eq!(b.select_among(&all), Some(0));
         b.record(0, true);
-        assert_eq!(b.select(), 1);
+        assert_eq!(b.select_among(&all), Some(1));
         b.record(1, false);
-        assert_eq!(b.select(), 2);
+        assert_eq!(b.select_among(&all), Some(2));
     }
 
     #[test]

@@ -13,11 +13,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 
-/// Default differential weight.
+/// Differential weight `F`.
 pub const DEFAULT_F: f64 = 0.7;
-/// Default crossover rate.
+/// Crossover rate `CR`.
 pub const DEFAULT_CR: f64 = 0.8;
-/// Default population size (clamped to the space size).
+/// Population size (clamped to the space size, at least 4).
 pub const DEFAULT_POPULATION: usize = 20;
 
 /// `DE/rand/1/bin` differential evolution over the grid's continuous
@@ -40,13 +40,10 @@ pub struct DifferentialEvolution {
     /// Outstanding proposals in proposal order: `None` is a seeding
     /// evaluation, `Some(trial)` carries the continuous trial vector.
     pending: VecDeque<Option<Vec<f64>>>,
-    f: f64,
-    cr: f64,
-    pop_size: usize,
 }
 
 impl DifferentialEvolution {
-    /// Creates the technique with a fixed seed and default parameters.
+    /// Creates the technique with a fixed seed.
     pub fn with_seed(seed: u64) -> Self {
         DifferentialEvolution {
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -57,32 +54,7 @@ impl DifferentialEvolution {
             trial_ask: 0,
             trial_report: 0,
             pending: VecDeque::new(),
-            f: DEFAULT_F,
-            cr: DEFAULT_CR,
-            pop_size: DEFAULT_POPULATION,
         }
-    }
-
-    /// Sets the differential weight `F` (typically 0.4–1.0).
-    pub fn weight(mut self, f: f64) -> Self {
-        assert!(f > 0.0 && f <= 2.0, "F must be in (0, 2]");
-        self.f = f;
-        self
-    }
-
-    /// Sets the crossover rate `CR` in (0, 1].
-    pub fn crossover(mut self, cr: f64) -> Self {
-        assert!(cr > 0.0 && cr <= 1.0, "CR must be in (0, 1]");
-        self.cr = cr;
-        self
-    }
-
-    /// Sets the population size (≥ 4 for the rand/1 mutation to have
-    /// distinct donors).
-    pub fn population(mut self, n: usize) -> Self {
-        assert!(n >= 4, "population must be ≥ 4");
-        self.pop_size = n;
-        self
     }
 
     fn random_continuous(&mut self) -> Vec<f64> {
@@ -129,8 +101,8 @@ impl DifferentialEvolution {
         let forced = self.rng.gen_range(0..dims.dims()); // ≥1 mutated coord
         (0..dims.dims())
             .map(|d| {
-                if d == forced || self.rng.gen_bool(self.cr) {
-                    let v = xa[d] + self.f * (xb[d] - xc[d]);
+                if d == forced || self.rng.gen_bool(DEFAULT_CR) {
+                    let v = xa[d] + DEFAULT_F * (xb[d] - xc[d]);
                     // Reflect into range to keep diversity at the borders.
                     let hi = (dims.size(d) - 1) as f64;
                     if hi == 0.0 {
@@ -158,7 +130,7 @@ impl Default for DifferentialEvolution {
 
 impl SearchTechnique for DifferentialEvolution {
     fn initialize(&mut self, dims: SpaceDims) {
-        let pop = self.pop_size.min(dims.len().min(1 << 20) as usize).max(4);
+        let pop = (dims.len().min(DEFAULT_POPULATION as u128) as usize).max(4);
         self.dims = Some(dims);
         self.population.clear();
         self.population.reserve(pop);
@@ -274,10 +246,10 @@ mod tests {
 
     #[test]
     fn trial_improvement_replaces_member() {
-        let mut t = DifferentialEvolution::with_seed(1).population(4);
+        let mut t = DifferentialEvolution::with_seed(1);
         t.initialize(SpaceDims::new(vec![100]));
         // Seed the population with cost 10 each.
-        for _ in 0..4 {
+        for _ in 0..DEFAULT_POPULATION {
             let _ = t.get_next_point().unwrap();
             t.report_cost(10.0);
         }
@@ -291,11 +263,5 @@ mod tests {
             trial,
             "trial vector adopted"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "population must be ≥ 4")]
-    fn population_floor() {
-        let _ = DifferentialEvolution::with_seed(1).population(3);
     }
 }

@@ -19,23 +19,19 @@ pub mod annealing;
 pub mod bandit;
 pub mod differential;
 pub mod exhaustive;
-pub mod genetic;
 pub mod mutation;
 pub mod nelder_mead;
 pub mod pattern;
-pub mod pso;
 pub mod random;
 pub mod torczon;
 
 pub use annealing::SimulatedAnnealing;
-pub use bandit::{AucBandit, Ensemble};
+pub use bandit::Ensemble;
 pub use differential::DifferentialEvolution;
 pub use exhaustive::Exhaustive;
-pub use genetic::GeneticAlgorithm;
 pub use mutation::GreedyMutation;
 pub use nelder_mead::NelderMead;
 pub use pattern::PatternSearch;
-pub use pso::ParticleSwarm;
 pub use random::RandomSearch;
 pub use torczon::Torczon;
 
@@ -92,7 +88,8 @@ impl SpaceDims {
         self.sizes.iter().map(|&s| s as u128).product()
     }
 
-    /// `true` if the space has exactly one point.
+    /// Always `false`: every dimension is non-empty, so the space has at
+    /// least one point.
     pub fn is_empty(&self) -> bool {
         false // by construction all dims are non-empty
     }

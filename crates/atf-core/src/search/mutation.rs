@@ -8,6 +8,13 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 
+/// Mutation rate: expected fraction of coordinates perturbed per step.
+const RATE: f64 = 0.35;
+
+/// Restart from a fresh random point after this many consecutive steps
+/// without improving the incumbent.
+const RESTART_AFTER: u64 = 400;
+
 /// Greedy mutation of the incumbent best point.
 #[derive(Clone, Debug)]
 pub struct GreedyMutation {
@@ -18,12 +25,8 @@ pub struct GreedyMutation {
     /// speculative mutants of the (possibly stale) incumbent may be
     /// outstanding at once under parallel evaluation.
     pending: VecDeque<Point>,
-    /// Mutation rate: expected fraction of coordinates perturbed per step.
-    rate: f64,
     /// Non-improving steps since the incumbent last changed.
     stagnation: u64,
-    /// Random-restart threshold (0 disables).
-    restart_after: u64,
 }
 
 impl GreedyMutation {
@@ -34,23 +37,8 @@ impl GreedyMutation {
             dims: None,
             best: None,
             pending: VecDeque::new(),
-            rate: 0.35,
             stagnation: 0,
-            restart_after: 400,
         }
-    }
-
-    /// Sets the expected fraction of coordinates perturbed per step.
-    pub fn rate(mut self, rate: f64) -> Self {
-        assert!(rate > 0.0 && rate <= 1.0, "mutation rate must be in (0, 1]");
-        self.rate = rate;
-        self
-    }
-
-    /// Random-restart after `n` non-improving steps (0 disables).
-    pub fn restart_after(mut self, n: u64) -> Self {
-        self.restart_after = n;
-        self
     }
 
     #[allow(clippy::needless_range_loop)] // `d` indexes dims and q together
@@ -60,7 +48,7 @@ impl GreedyMutation {
         let mut touched = false;
         for d in 0..dims.dims() {
             let size = dims.size(d);
-            if size > 1 && self.rng.gen_bool(self.rate) {
+            if size > 1 && self.rng.gen_bool(RATE) {
                 q[d] = self.rng.gen_range(0..size);
                 touched = true;
             }
@@ -110,7 +98,7 @@ impl SearchTechnique for GreedyMutation {
         match &self.best {
             Some((_, bc)) if cost >= *bc => {
                 self.stagnation += 1;
-                if self.restart_after > 0 && self.stagnation >= self.restart_after {
+                if self.stagnation >= RESTART_AFTER {
                     self.best = None;
                     self.stagnation = 0;
                 }
@@ -162,7 +150,7 @@ mod tests {
 
     #[test]
     fn mutation_stays_in_bounds() {
-        let mut t = GreedyMutation::with_seed(7).rate(1.0);
+        let mut t = GreedyMutation::with_seed(7);
         let dims = SpaceDims::new(vec![5, 2, 9]);
         t.initialize(dims.clone());
         for i in 0..200 {
@@ -176,17 +164,21 @@ mod tests {
 
     #[test]
     fn restart_clears_incumbent() {
-        let mut t = GreedyMutation::with_seed(2).restart_after(5);
+        let mut t = GreedyMutation::with_seed(2);
         t.initialize(SpaceDims::new(vec![100]));
         let _ = t.get_next_point().unwrap();
         t.report_cost(0.0); // incumbent cost 0 — nothing can improve on it
-        for _ in 0..10 {
+        for _ in 0..RESTART_AFTER {
             let _ = t.get_next_point().unwrap();
             t.report_cost(1.0);
         }
         // Without a restart the incumbent would still be the cost-0 point
-        // (1.0 never improves on 0.0); the restart cleared it, so a 1.0
-        // report was adopted as the fresh incumbent.
+        // (1.0 never improves on 0.0); the RESTART_AFTER-th non-improving
+        // step cleared it, so the next 1.0 report is adopted as the fresh
+        // incumbent.
+        assert!(t.best.is_none());
+        let _ = t.get_next_point().unwrap();
+        t.report_cost(1.0);
         assert!(t.best.as_ref().is_some_and(|(_, c)| *c == 1.0));
     }
 }

@@ -7,7 +7,6 @@ use crate::{cltune_xgemm, devices, saxpy_cost_function, xgemm_cost_function, Exp
 use atf_core::constraint::divides;
 use atf_core::expr::param;
 use atf_core::prelude::*;
-use atf_core::search::bandit::DEFAULT_WINDOW;
 use atf_core::spacegen::generate_group_chunked;
 use atf_core::trace::NullSink;
 use atf_ocl::OclCostFunction;
@@ -90,8 +89,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "tab_ensemble_ablation",
-        paper: "Ablation: the AUC-bandit ensemble vs its members and the bandit's exploration \
-                constant, XgemmDirect IS4 on the GPU",
+        paper: "Ablation: the AUC-bandit ensemble vs each isolated technique, XgemmDirect IS4 \
+                on the GPU",
         run: || tab_ensemble_ablation(WGD_MAX, 1_500, &[11, 23, 37, 51, 67]),
         predicates: claims![ensemble_beats_the_weaker_half],
     },
@@ -507,10 +506,9 @@ pub fn tab_parallel_generation(
 
 type Arm = fn(u64) -> Box<dyn SearchTechnique>;
 
-/// The ensemble against each member in isolation, the extended ensemble, and
-/// a sweep of the bandit's exploration constant — XgemmDirect IS4 on the GPU
-/// (ranges capped at `cap`), mean and best over `seeds` of `budget`
-/// evaluations each.
+/// The ensemble against each isolated technique — its six members and
+/// annealing — on XgemmDirect IS4 on the GPU (ranges capped at `cap`), mean
+/// and best over `seeds` of `budget` evaluations each.
 pub fn tab_ensemble_ablation(cap: u64, budget: u64, seeds: &[u64]) -> Vec<Record> {
     let space = SearchSpace::generate(&atf_space_wgd_max(cap));
     let record = |name: &str, make: &dyn Fn(u64) -> Box<dyn SearchTechnique>| {
@@ -525,7 +523,7 @@ pub fn tab_ensemble_ablation(cap: u64, budget: u64, seeds: &[u64]) -> Vec<Record
             .exact("mean_ns", mean)
             .exact("best_ns", best)
     };
-    let arms: [(&str, Arm); 11] = [
+    let arms: [(&str, Arm); 8] = [
         ("random", |s| Box::new(RandomSearch::with_seed(s))),
         ("annealing", |s| Box::new(SimulatedAnnealing::with_seed(s))),
         ("nelder-mead", |s| Box::new(NelderMead::with_seed(s))),
@@ -535,30 +533,21 @@ pub fn tab_ensemble_ablation(cap: u64, budget: u64, seeds: &[u64]) -> Vec<Record
         ("diff-evolution", |s| {
             Box::new(DifferentialEvolution::with_seed(s))
         }),
-        ("particle-swarm", |s| Box::new(ParticleSwarm::with_seed(s))),
-        ("genetic", |s| Box::new(GeneticAlgorithm::with_seed(s))),
         ("ENSEMBLE (default)", |s| {
             Box::new(Ensemble::opentuner_default(s))
         }),
-        ("ENSEMBLE (extended)", |s| Box::new(Ensemble::extended(s))),
     ];
-    let mut records: Vec<Record> = arms.iter().map(|(name, make)| record(name, make)).collect();
-    for c in [0.0f64, 0.1, 0.3, 1.0, 3.0] {
-        records.push(record(&format!("exploration-{c}"), &|s| {
-            Box::new(Ensemble::opentuner_default(s).bandit_params(DEFAULT_WINDOW, c))
-        }));
-    }
-    records
+    arms.iter().map(|(name, make)| record(name, make)).collect()
 }
 
-/// The default ensemble's mean best beats at least half of the isolated
-/// techniques (the weaker half).
+/// The ensemble's mean best beats at least half of the isolated techniques
+/// (the weaker half).
 pub fn ensemble_beats_the_weaker_half(records: &[Record]) -> Result<(), String> {
     let ensemble = records.iter().find(|r| r.workload == "ENSEMBLE (default)");
     let mean = ensemble.map_or(f64::NAN, |r| r.get("mean_ns"));
     let isolated: Vec<&Record> = records
         .iter()
-        .filter(|r| !r.workload.starts_with("ENSEMBLE") && !r.workload.starts_with("exploration"))
+        .filter(|r| !r.workload.starts_with("ENSEMBLE"))
         .collect();
     let beaten = isolated.iter().filter(|r| r.get("mean_ns") > mean).count();
     let n = isolated.len();

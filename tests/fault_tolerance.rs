@@ -44,7 +44,10 @@ fn techniques(seed: u64) -> Vec<(&'static str, Box<dyn SearchTechnique>)> {
         ("exhaustive", Box::new(Exhaustive::new())),
         ("annealing", Box::new(SimulatedAnnealing::with_seed(seed))),
         ("ensemble", Box::new(Ensemble::opentuner_default(seed))),
-        ("genetic", Box::new(GeneticAlgorithm::with_seed(seed))),
+        (
+            "differential-evolution",
+            Box::new(DifferentialEvolution::with_seed(seed)),
+        ),
         ("pattern", Box::new(PatternSearch::with_seed(seed))),
         ("torczon", Box::new(Torczon::with_seed(seed))),
         ("nelder-mead", Box::new(NelderMead::with_seed(seed))),
@@ -277,7 +280,7 @@ proptest! {
             match technique_idx {
                 0 => Box::new(Exhaustive::new()),
                 1 => Box::new(SimulatedAnnealing::with_seed(seed)),
-                _ => Box::new(GeneticAlgorithm::with_seed(seed)),
+                _ => Box::new(DifferentialEvolution::with_seed(seed)),
             }
         };
         let path = journal_path(&format!("prop-{seed}-{cut}-{technique_idx}"));

@@ -56,13 +56,13 @@ fn keyed_faulty() -> impl CostFunction<Cost = f64> + Send {
 
 /// The acceptance-criteria technique list (plus random search, which like
 /// exhaustive proposes independently of reported costs), freshly seeded.
-fn technique_names() -> Vec<&'static str> {
+fn names() -> Vec<&'static str> {
     vec![
         "exhaustive",
         "random",
         "annealing",
         "ensemble",
-        "genetic",
+        "differential-evolution",
         "pattern",
         "torczon",
         "nelder-mead",
@@ -75,7 +75,7 @@ fn technique(name: &str, seed: u64) -> Box<dyn SearchTechnique> {
         "random" => Box::new(RandomSearch::with_seed(seed)),
         "annealing" => Box::new(SimulatedAnnealing::with_seed(seed)),
         "ensemble" => Box::new(Ensemble::opentuner_default(seed)),
-        "genetic" => Box::new(GeneticAlgorithm::with_seed(seed)),
+        "differential-evolution" => Box::new(DifferentialEvolution::with_seed(seed)),
         "pattern" => Box::new(PatternSearch::with_seed(seed)),
         "torczon" => Box::new(Torczon::with_seed(seed)),
         "nelder-mead" => Box::new(NelderMead::with_seed(seed)),
@@ -129,7 +129,7 @@ fn stepped_run(tech: Box<dyn SearchTechnique>, budget: u64) -> TuningResult<f64>
 /// same order, hence the same best, cost, and counters.
 #[test]
 fn one_worker_parallel_equals_serial_for_every_technique() {
-    for name in technique_names() {
+    for name in names() {
         let serial = stepped_run(technique(name, 41), 60);
         let parallel = pooled_run(technique(name, 41), 60, 1, objective)
             .unwrap_or_else(|e| panic!("`{name}` one-worker run failed: {e}"));
@@ -155,7 +155,7 @@ fn four_workers_match_serial_exactly_for_order_free_techniques() {
 /// close to the optimum on this unimodal objective.
 #[test]
 fn four_worker_runs_are_reproducible_and_converge() {
-    for name in technique_names() {
+    for name in names() {
         let run = || {
             pooled_run(technique(name, 59), 72, 4, objective)
                 .unwrap_or_else(|e| panic!("`{name}` four-worker run failed: {e}"))
@@ -189,7 +189,7 @@ proptest! {
     ) {
         let tech: Box<dyn SearchTechnique> = match seed % 3 {
             0 => Box::new(SimulatedAnnealing::with_seed(seed)),
-            1 => Box::new(GeneticAlgorithm::with_seed(seed)),
+            1 => Box::new(DifferentialEvolution::with_seed(seed)),
             _ => Box::new(Ensemble::opentuner_default(seed)),
         };
         let mut session = TuningSession::<f64>::new(space(), tech)
@@ -329,7 +329,7 @@ fn every_technique_survives_faults_with_four_workers() {
         ..EvalPolicy::default()
     }
     .retries(3);
-    for (i, name) in technique_names().into_iter().enumerate() {
+    for (i, name) in names().into_iter().enumerate() {
         let mut session = TuningSession::<f64>::new(space(), technique(name, 11))
             .unwrap()
             .abort_condition(abort::evaluations(60))

@@ -37,13 +37,7 @@ fn all_techniques_complete_on_real_cost_function() {
             "differential-evolution",
             Box::new(DifferentialEvolution::with_seed(1)),
         ),
-        ("particle-swarm", Box::new(ParticleSwarm::with_seed(1))),
-        (
-            "genetic-algorithm",
-            Box::new(GeneticAlgorithm::with_seed(1)),
-        ),
         ("ensemble", Box::new(Ensemble::opentuner_default(1))),
-        ("ensemble-extended", Box::new(Ensemble::extended(1))),
     ];
     for (name, tech) in techniques {
         let mut cf = saxpy_cf(n);
