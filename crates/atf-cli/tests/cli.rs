@@ -109,6 +109,9 @@ fn unknown_options_are_named_with_the_usage() {
         ),
         (&["client", "--lookup", "k", "--wat"][..], "--wat"),
         (&["campaign", "--wat", "camp.json"][..], "--wat"),
+        (&["client", "--workers", "4", "spec.json"][..], "--workers"),
+        (&["client", "--metrics", "spec.json"][..], "--metrics"),
+        (&["campaign", "--metrics", "camp.json"][..], "--metrics"),
     ] {
         let out = run_with(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -589,7 +592,7 @@ fn run_with_trace_and_metrics_emits_parseable_events() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Every trace line is a JSON object with a known `event` kind.
+    // Every trace line is a JSON object with a known `event` kind ...
     let body = std::fs::read_to_string(&trace_path).unwrap();
     assert!(!body.is_empty(), "trace file must not be empty");
     let mut kinds = std::collections::BTreeSet::new();
@@ -600,6 +603,8 @@ fn run_with_trace_and_metrics_emits_parseable_events() {
             atf_core::trace::EVENT_KINDS.contains(&event.event.as_str()),
             "unknown event kind in {line:?}"
         );
+        // ... carrying exactly the fields its kind declares.
+        atf_core::trace::check_line(line).unwrap_or_else(|e| panic!("{e}"));
         kinds.insert(event.event.clone());
     }
     for required in ["space_gen", "handout", "report", "eval", "proc", "abort"] {

@@ -127,13 +127,6 @@ impl Config {
         self.entries.iter().map(|(n, v)| (n.as_ref(), v))
     }
 
-    /// Extends this configuration with all entries of `other`.
-    pub fn extend_from(&mut self, other: &Config) {
-        for (n, v) in &other.entries {
-            self.push(n.clone(), v.clone());
-        }
-    }
-
     /// The parameter names in declaration order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.iter().map(|(n, _)| n.as_ref())

@@ -93,17 +93,6 @@ impl Range {
         }
     }
 
-    /// An inclusive signed interval with an explicit step size.
-    pub fn int_interval_step(begin: i64, end: i64, step: i64) -> Self {
-        assert!(step > 0, "interval step size must be positive");
-        Range::IntInterval {
-            begin,
-            end,
-            step,
-            generator: None,
-        }
-    }
-
     /// An inclusive float interval `[begin, end]` in steps of `step`.
     pub fn float_interval(begin: f64, end: f64, step: f64) -> Self {
         assert!(step > 0.0, "interval step size must be positive");

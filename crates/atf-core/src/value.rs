@@ -89,19 +89,6 @@ impl Value {
         }
     }
 
-    /// Returns the symbolic value, if this is a `Symbol`.
-    pub fn as_symbol(&self) -> Option<&str> {
-        match self {
-            Value::Symbol(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// `true` if the value is numeric (including booleans).
-    pub fn is_numeric(&self) -> bool {
-        !matches!(self, Value::Symbol(_))
-    }
-
     /// The value rendered the way it would be textually substituted into a
     /// kernel source by the preprocessor-based OpenCL cost function:
     /// booleans as `1`/`0` (C convention), numbers plainly, symbols verbatim.

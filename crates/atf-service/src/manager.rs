@@ -1141,12 +1141,6 @@ impl SessionManager {
         f(&self.db.lock())
     }
 
-    /// Mutable access to the in-memory database (for tests and benches);
-    /// changes made here bypass the persistence log.
-    pub fn with_db_mut<T>(&self, f: impl FnOnce(&mut TuningDatabase) -> T) -> T {
-        f(&mut self.db.lock())
-    }
-
     fn with_session(
         &self,
         request: &Request,

@@ -11,25 +11,18 @@
 //! * [`xgemm_space`] — the tuning-space definitions: the native ATF space,
 //!   the CLTune-constrained variants, CLBlast's artificially limited ranges
 //!   (empty for the Caffe sizes!), and the unconstrained OpenTuner ranges;
-//! * [`caffe`] — the four deep-learning input sizes of Figure 2;
-//! * [`xgemv`], [`xdot`] — further CLBlast kernels (matrix-vector product
-//!   and two-stage dot reduction) extending the library beyond the paper's
-//!   two evaluation workloads.
+//! * [`caffe`] — the four deep-learning input sizes of Figure 2.
 
 pub mod caffe;
 pub mod reference;
 pub mod saxpy;
-pub mod xdot;
 pub mod xgemm_direct;
 pub mod xgemm_space;
-pub mod xgemv;
 
 pub use saxpy::{saxpy_space, SaxpyKernel, SAXPY_SOURCE};
-pub use xdot::{xdot_launch, xdot_space, XdotKernel, XDOT_SOURCE};
 pub use xgemm_direct::{XgemmDirectKernel, XgemmParams, XGEMM_DIRECT_SOURCE, XGEMM_PARAMS};
 pub use xgemm_space::{
     atf_space, atf_space_cltune_constraints, atf_space_wgd_max, clblast_launch,
     clblast_limited_space, cltune_launch, config_is_valid, default_config, defines_from_config,
     params_from_config, unconstrained_params, WGD_MAX,
 };
-pub use xgemv::{xgemv_launch, xgemv_space, XgemvKernel, XGEMV_SOURCE};

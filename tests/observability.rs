@@ -12,7 +12,7 @@ use atf_core::abort;
 use atf_core::param::{tp, ParamGroup};
 use atf_core::prelude::*;
 use atf_core::search::Point;
-use atf_core::trace::EVENT_KINDS;
+use atf_core::trace::check_line;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -140,12 +140,11 @@ fn trace_stream_is_complete_and_balanced() {
             .contains("40"),
         "abort condition should render the budget: {abort_event:?}"
     );
+    // Every event, as its NDJSON line, carries exactly the fields its
+    // kind declares.
     for e in &events {
-        assert!(
-            EVENT_KINDS.contains(&e.event.as_str()),
-            "unknown event kind {:?}",
-            e.event
-        );
+        let line = serde_json::to_string(e).unwrap();
+        assert_eq!(check_line(&line).as_ref(), Ok(e), "{line}");
     }
 }
 
